@@ -83,7 +83,7 @@ async def _run_fleet(endpoints: list[tuple[str, int]], stream: list,
     throughput includes the sketch work; a mid-stream probe checks the
     acknowledged prefix bit-for-bit.
     """
-    cluster = await ClusterCoordinator.connect(endpoints, wire="binary")
+    cluster = await ClusterCoordinator.connect(endpoints)
     probes = _probes(stream)
     half = len(stream) // 2
     reference_half = _offline_reference(stream[:half])

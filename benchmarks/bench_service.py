@@ -3,13 +3,11 @@
 Measures, over a seeded Zipf(1.0) stream:
 
 * **ingest** — items/s through the service for a sweep of batch sizes:
-  in-process (frame codec, no kernel), TCP loopback over the JSON
-  protocol (sequential requests, what the original wire paid), and TCP
-  loopback over the binary wire with pipelined acks
-  (``AsyncServiceClient.ingest_many``).  The offline
-  :class:`~repro.core.vectorized.VectorizedCountSketch` batch-update
-  loop is reported alongside as the no-server ceiling, so the service
-  overhead is visible as a percentage.
+  in-process (frame codec, no kernel) and TCP loopback over the binary
+  wire with pipelined acks (``AsyncServiceClient.ingest_many``).  The
+  offline :class:`~repro.core.vectorized.VectorizedCountSketch`
+  batch-update loop is reported alongside as the no-server ceiling, so
+  the service overhead is visible as a percentage.
 * **query latency** — per-request ``estimate`` latency (p50/p99 ms)
   from several concurrent clients while a background producer keeps
   ingesting over the binary wire, i.e. reads racing writes through the
@@ -17,7 +15,7 @@ Measures, over a seeded Zipf(1.0) stream:
 
 Every ingest pass ends with a correctness probe: the served estimates
 for a handful of head items must equal an offline sketch built from the
-same records.  The binary pass additionally probes *mid-stream* — after
+same records.  The TCP pass additionally probes *mid-stream* — after
 the first half of the stream, served estimates must be bit-equal to an
 offline sketch fed exactly that prefix — so the bench doubles as an
 exactness smoke for read-your-acknowledged-writes.
@@ -127,26 +125,6 @@ def bench_ingest_in_process(stream: list, batch: int, repeats: int,
     return max(asyncio.run(once()) for __ in range(repeats))
 
 
-def bench_ingest_tcp(stream: list, batch: int, repeats: int,
-                     reference: VectorizedCountSketch) -> float:
-    """Best-of TCP ingest rate over the JSON wire (items/s)."""
-
-    async def once() -> float:
-        server = SketchServer([SPEC])
-        host, port = await server.start("127.0.0.1", 0)
-        client = await AsyncServiceClient.connect(host, port, wire="json")
-        chunks = _chunks(stream, batch)
-        start = time.perf_counter()
-        await _ingest_stream(client, chunks)
-        rate = len(stream) / (time.perf_counter() - start)
-        await _assert_probe(client, reference)
-        await client.close()
-        await server.stop()
-        return rate
-
-    return max(asyncio.run(once()) for __ in range(repeats))
-
-
 def bench_ingest_tcp_binary(stream: list, batch: int, repeats: int,
                             reference: VectorizedCountSketch) -> float:
     """Best-of TCP ingest rate over the binary wire (items/s).
@@ -163,8 +141,7 @@ def bench_ingest_tcp_binary(stream: list, batch: int, repeats: int,
     async def once() -> float:
         server = SketchServer([SPEC])
         host, port = await server.start("127.0.0.1", 0)
-        client = await AsyncServiceClient.connect(host, port,
-                                                  wire="binary")
+        client = await AsyncServiceClient.connect(host, port)
         first = [[(item, 1) for item in chunk]
                  for chunk in _chunks(stream[:half], batch)]
         second = [[(item, 1) for item in chunk]
@@ -268,20 +245,15 @@ def run(n: int, batches: list[int], repeats: int, queries: int,
         offline = bench_offline(stream, batch, repeats)
         in_process = bench_ingest_in_process(stream, batch, repeats,
                                              reference)
-        tcp_json = bench_ingest_tcp(stream, batch, repeats, reference)
         tcp_binary = bench_ingest_tcp_binary(stream, batch, repeats,
                                              reference)
         ingest.append({
             "batch": batch,
             "offline_items_per_s": round(offline),
             "in_process_items_per_s": round(in_process),
-            "tcp_json_items_per_s": round(tcp_json),
             "tcp_binary_items_per_s": round(tcp_binary),
             "in_process_overhead_pct": round(
                 100.0 * (offline - in_process) / offline, 1
-            ),
-            "tcp_json_overhead_pct": round(
-                100.0 * (offline - tcp_json) / offline, 1
             ),
             "tcp_binary_overhead_pct": round(
                 100.0 * (offline - tcp_binary) / offline, 1
@@ -322,16 +294,14 @@ def format_report(record: dict) -> str:
     """Human-readable summary of one BENCH record."""
     lines = [
         "BENCH service (n={n}, best of {repeats})".format(**record),
-        "  {:<7} {:>13} {:>13} {:>13} {:>13} {:>8}".format(
-            "batch", "offline/s", "in-proc/s", "tcp-json/s", "tcp-bin/s",
-            "bin/off"
+        "  {:<7} {:>13} {:>13} {:>13} {:>8}".format(
+            "batch", "offline/s", "in-proc/s", "tcp-bin/s", "bin/off"
         ),
     ]
     for row in record["ingest"]:
         lines.append(
             "  {batch:<7} {offline_items_per_s:>13,} "
-            "{in_process_items_per_s:>13,} {tcp_json_items_per_s:>13,} "
-            "{tcp_binary_items_per_s:>13,} "
+            "{in_process_items_per_s:>13,} {tcp_binary_items_per_s:>13,} "
             "{tcp_binary_of_offline_pct:>7.1f}%".format(**row)
         )
     latency = record["query_latency"]

@@ -791,13 +791,11 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
             return _fail(str(error))
 
         def connect() -> object:
-            return ClusterCoordinator.connect(fleet.endpoints,
-                                              wire=args.wire)
+            return ClusterCoordinator.connect(fleet.endpoints)
     else:
 
         def connect() -> object:
-            return AsyncServiceClient.connect(args.host, args.port,
-                                              wire=args.wire)
+            return AsyncServiceClient.connect(args.host, args.port)
 
     async def drive() -> TrafficReport:
         return await runner.run(connect, setup=not args.no_setup,
@@ -856,12 +854,10 @@ def _connect_client(args: argparse.Namespace) -> _QueryClient:
         from repro.cluster.fleet import read_cluster_spec
 
         spec = read_cluster_spec(args.cluster)
-        return ClusterClient(spec.endpoints, timeout=args.timeout,
-                             wire=getattr(args, "wire", "auto"))
+        return ClusterClient(spec.endpoints, timeout=args.timeout)
     from repro.service.client import ServiceClient
 
-    return ServiceClient(args.host, args.port, timeout=args.timeout,
-                         wire=getattr(args, "wire", "auto"))
+    return ServiceClient(args.host, args.port, timeout=args.timeout)
 
 
 def _query_target(args: argparse.Namespace) -> str:
@@ -1448,13 +1444,6 @@ def build_parser() -> argparse.ArgumentParser:
     connection.add_argument("--timeout", type=float, default=30.0,
                             help="per-request timeout in seconds "
                                  "(default 30)")
-    connection.add_argument("--wire", choices=("auto", "json", "binary"),
-                            default="auto",
-                            help="ingest wire: 'auto' negotiates binary "
-                                 "frames when the server supports them, "
-                                 "'json' forces the canonical JSON "
-                                 "protocol, 'binary' refuses to fall "
-                                 "back (default auto)")
     connection.add_argument("--cluster", metavar="SPEC", default=None,
                             help="query a sharded fleet instead of one "
                                  "server: path to the cluster spec JSON "
@@ -1627,9 +1616,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="drive a sharded fleet instead of one "
                               "server: path to the cluster spec JSON "
                               "(overrides --host/--port)")
-    traffic.add_argument("--wire", choices=("auto", "json", "binary"),
-                         default="auto",
-                         help="ingest wire preference (default auto)")
     traffic.add_argument("--clients", type=int, default=4,
                          help="concurrent client connections (default 4)")
     traffic.add_argument("--duration", type=float, default=5.0,

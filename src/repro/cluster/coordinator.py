@@ -138,26 +138,22 @@ class ClusterCoordinator:
 
     @classmethod
     async def connect(
-        cls,
-        endpoints: Sequence[tuple[str, int]],
-        *,
-        wire: str = "auto",
+        cls, endpoints: Sequence[tuple[str, int]]
     ) -> ClusterCoordinator:
         """Open one TCP connection per shard endpoint, in order."""
         clients = await asyncio.gather(*[
-            AsyncServiceClient.connect(host, port, wire=wire)
+            AsyncServiceClient.connect(host, port)
             for host, port in endpoints
         ])
         return cls(list(clients))
 
     @classmethod
     def in_process(
-        cls, servers: Sequence[SketchServer], *, wire: str = "auto"
+        cls, servers: Sequence[SketchServer]
     ) -> ClusterCoordinator:
         """Attach to in-process servers (tests, benchmarks)."""
         return cls([
-            AsyncServiceClient.in_process(server, wire=wire)
-            for server in servers
+            AsyncServiceClient.in_process(server) for server in servers
         ])
 
     @property
@@ -471,7 +467,6 @@ class ClusterClient:
     Args:
         endpoints: ``(host, port)`` per shard, in routing order.
         timeout: per-call deadline in seconds.
-        wire: ingest wire preference, forwarded to every shard client.
     """
 
     def __init__(
@@ -479,7 +474,6 @@ class ClusterClient:
         endpoints: Sequence[tuple[str, int]],
         *,
         timeout: float = 30.0,
-        wire: str = "auto",
     ) -> None:
         self._timeout = timeout
         self._loop = asyncio.new_event_loop()
@@ -491,7 +485,7 @@ class ClusterClient:
         self._thread.start()
         try:
             self._coordinator = self._run(
-                ClusterCoordinator.connect(list(endpoints), wire=wire))
+                ClusterCoordinator.connect(list(endpoints)))
         except BaseException:
             self._stop_loop()
             raise

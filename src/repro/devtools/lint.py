@@ -45,7 +45,7 @@ that no general-purpose linter knows about:
   ``.tobytes()``, ``int.to_bytes``/``from_bytes``) in ``repro.service``
   modules other than ``protocol.py``.  The binary frame layout is a
   wire contract with exactly one implementation; a second ad-hoc
-  encoder drifts from the negotiated format silently.  Call the
+  encoder drifts from the shared format silently.  Call the
   ``repro.service.protocol`` codec instead.
 
 Rules RS009-RS012 are dataflow-aware: they run a per-function CFG +

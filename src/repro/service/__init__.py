@@ -4,8 +4,8 @@ The paper's motivating feeds — search-query logs (§1), router packet
 flows — are live streams queried *while* ingestion continues.  This
 package is that shape: a long-running asyncio server owning named
 "tables" (dense / vectorized / top-k / jumping-window summaries),
-absorbing batched ingest over a length-prefixed JSON protocol, and
-answering ``estimate`` / ``topk`` / ``stats`` concurrently with exact
+absorbing batched binary ingest frames over a length-prefixed
+protocol, and answering ``estimate`` / ``topk`` / ``stats`` concurrently with exact
 read-your-acknowledged-writes semantics.
 
 Entry points:

@@ -18,19 +18,14 @@ Three layers:
   CLI: it runs a private event loop on a daemon thread and proxies
   each call with a timeout.
 
-Wire negotiation: with ``wire="auto"`` (the default) the client pings
-the server once, and uses binary ingest frames whenever the server
-advertises ``binary-ingest-v1`` — raw pre-encoded 64-bit keys for
-tables that never store original items, lossless packed keys for
-``topk`` tables.  ``wire="json"`` forces the canonical JSON protocol;
-``wire="binary"`` raises instead of silently falling back.  Everything
-except ingest always travels as JSON.
+Ingest always travels as ``binary-ingest-v1`` frames — raw pre-encoded
+64-bit keys for tables that never store original items, lossless packed
+keys for ``topk`` tables.  Everything else travels as JSON.
 
 Batches that would exceed ``MAX_FRAME_BYTES`` are split into several
-frames automatically (JSON and binary alike).  Ack semantics per frame
-are unchanged — but a split batch is no longer all-or-nothing: an
-``overloaded`` mid-split surfaces after earlier sub-batches were
-acknowledged.
+frames automatically.  Ack semantics per frame are unchanged — but a
+split batch is no longer all-or-nothing: an ``overloaded`` mid-split
+surfaces after earlier sub-batches were acknowledged.
 
 Backpressure contract: ``ingest`` never silently drops.  Either the
 batch is acknowledged (and ``wait=True`` additionally awaits its
@@ -49,9 +44,7 @@ import numpy as np
 
 from repro.hashing.vectorized import encode_keys
 from repro.service.protocol import (
-    FEATURE_BINARY_INGEST,
     MAX_FRAME_BYTES,
-    FrameTooLargeError,
     WireProtocolError,
     binary_ingest_capacity,
     encode_wire_key,
@@ -80,17 +73,10 @@ __all__ = [
     "ServiceConnectionError",
     "ServiceError",
     "TcpTransport",
-    "WIRE_MODES",
 ]
-
-#: Ingest wire preferences a client accepts.
-WIRE_MODES = ("auto", "json", "binary")
 
 #: Default number of in-flight frames during pipelined ingest.
 _DEFAULT_WINDOW = 32
-
-class _WeightOverflow(Exception):
-    """Internal: a weight exceeds int64 (binary frames cannot carry it)."""
 
 
 class ServiceError(Exception):
@@ -315,42 +301,22 @@ class AsyncServiceClient:
 
     Args:
         transport: an open transport.
-        wire: ingest wire preference — ``"auto"`` negotiates binary
-            frames when the server advertises them, ``"json"`` forces
-            the canonical JSON protocol, ``"binary"`` refuses to fall
-            back (raising :class:`ServiceError` when unsupported).
     """
 
-    def __init__(
-        self,
-        transport: TcpTransport | InProcessTransport,
-        *,
-        wire: str = "auto",
-    ) -> None:
-        if wire not in WIRE_MODES:
-            raise ValueError(
-                f"unknown wire mode {wire!r}; choose one of "
-                f"{', '.join(WIRE_MODES)}"
-            )
+    def __init__(self, transport: TcpTransport | InProcessTransport) -> None:
         self._transport = transport
-        self._wire = wire
         self._ids = itertools.count(1)
-        self._server_features: frozenset[str] | None = None
         self._table_kinds: dict[str, str] = {}
 
     @classmethod
-    async def connect(
-        cls, host: str, port: int, *, wire: str = "auto"
-    ) -> AsyncServiceClient:
+    async def connect(cls, host: str, port: int) -> AsyncServiceClient:
         """Open a TCP connection to a running server."""
-        return cls(await TcpTransport.connect(host, port), wire=wire)
+        return cls(await TcpTransport.connect(host, port))
 
     @classmethod
-    def in_process(
-        cls, server: SketchServer, *, wire: str = "auto"
-    ) -> AsyncServiceClient:
+    def in_process(cls, server: SketchServer) -> AsyncServiceClient:
         """Attach to a server in the same event loop (tests, benches)."""
-        return cls(InProcessTransport(server), wire=wire)
+        return cls(InProcessTransport(server))
 
     async def _call(self, op: str, **fields: Any) -> dict[str, Any]:
         message: dict[str, Any] = {"op": op, "id": next(self._ids)}
@@ -361,12 +327,7 @@ class AsyncServiceClient:
 
     async def ping(self) -> dict[str, Any]:
         """Server liveness, protocol version, and feature set."""
-        response = await self._call("ping")
-        features = response.get("features")
-        self._server_features = frozenset(
-            str(feature) for feature in features
-        ) if isinstance(features, list) else frozenset()
-        return response
+        return await self._call("ping")
 
     async def create_table(self, spec: TableSpec) -> bool:
         """Create a table; ``False`` when it already existed (same
@@ -383,22 +344,6 @@ class AsyncServiceClient:
 
     # -- ingest ---------------------------------------------------------------
 
-    async def _binary_negotiated(self) -> bool:
-        """Whether this client should send binary ingest frames."""
-        if self._wire == "json":
-            return False
-        if self._server_features is None:
-            await self.ping()
-        assert self._server_features is not None
-        supported = FEATURE_BINARY_INGEST in self._server_features
-        if not supported and self._wire == "binary":
-            raise ServiceError(
-                "bad_request",
-                "server does not advertise binary ingest "
-                f"({FEATURE_BINARY_INGEST!r}); use wire='auto' or 'json'",
-            )
-        return supported
-
     async def _table_kind(self, table: str) -> str:
         """The table's summary kind (cached; one ``stats`` on a miss)."""
         kind = self._table_kinds.get(table)
@@ -408,48 +353,21 @@ class AsyncServiceClient:
             self._table_kinds[table] = kind
         return kind
 
-    def _build_json_frames(
+    async def _build_frames(
         self,
         table: str,
         pairs: list[tuple[Hashable, int]],
         *,
         wait: bool,
     ) -> list[tuple[bytes, list[tuple[Hashable, int]]]]:
-        """Pack pairs into JSON ingest frames, halving on oversize.
+        """Pack one batch into binary ingest frames within the byte budget.
 
-        Ack semantics: only the final frame carries ``wait``, and the
-        applier is FIFO per table, so its application implies all
-        earlier sub-batches applied too.
+        The table's kind picks the key layout the server accepts: raw
+        64-bit images, or packed keys for ``topk`` tables.  Only the
+        final frame carries ``wait``; the applier is FIFO per table, so
+        its application implies every earlier sub-batch applied too.
         """
-        message: dict[str, Any] = {
-            "op": "ingest",
-            "id": next(self._ids),
-            "table": table,
-            "records": [[encode_wire_key(item), count]
-                        for item, count in pairs],
-        }
-        if wait:
-            message["wait"] = True
-        try:
-            return [(pack_frame(message), pairs)]
-        except FrameTooLargeError:
-            if len(pairs) <= 1:
-                raise
-        middle = len(pairs) // 2
-        return (
-            self._build_json_frames(table, pairs[:middle], wait=False)
-            + self._build_json_frames(table, pairs[middle:], wait=wait)
-        )
-
-    def _build_binary_frames(
-        self,
-        table: str,
-        pairs: list[tuple[Hashable, int]],
-        *,
-        raw: bool,
-        wait: bool,
-    ) -> list[tuple[bytes, list[tuple[Hashable, int]]]]:
-        """Pack pairs into binary ingest frames within the byte budget."""
+        raw = await self._table_kind(table) != "topk"
         chunks: list[list[tuple[Hashable, int]]]
         blobs: list[list[bytes]] = []
         if raw:
@@ -479,7 +397,12 @@ class AsyncServiceClient:
                 weights = np.array([count for _, count in chunk],
                                    dtype=np.int64)
             except OverflowError:
-                raise _WeightOverflow() from None
+                # Refused here, before anything is enqueued: the
+                # server's counters are int64.
+                raise ServiceError(
+                    "bad_request",
+                    "ingest counts must fit in int64; counters are 64-bit",
+                ) from None
             keys: np.ndarray | list[bytes]
             if raw:
                 try:
@@ -488,8 +411,8 @@ class AsyncServiceClient:
                         dtype=np.uint64,
                     )
                 except TypeError:
-                    # Re-validate through normalize_key for the same
-                    # clear boundary error the JSON wire raises.
+                    # Re-validate through normalize_key for a clear
+                    # boundary error naming the unusable key type.
                     for item, _ in chunk:
                         normalize_key(item)
                     raise
@@ -507,29 +430,6 @@ class AsyncServiceClient:
                 chunk,
             ))
         return frames
-
-    async def _build_frames(
-        self,
-        table: str,
-        pairs: list[tuple[Hashable, int]],
-        *,
-        wait: bool,
-    ) -> list[tuple[bytes, list[tuple[Hashable, int]]]]:
-        """Choose a wire for one batch and pack it into frames."""
-        if await self._binary_negotiated():
-            kind = await self._table_kind(table)
-            try:
-                return self._build_binary_frames(
-                    table, pairs, raw=kind != "topk", wait=wait)
-            except _WeightOverflow:
-                # The JSON wire could carry the count, but the server's
-                # counters are int64 and would refuse it anyway — fail
-                # here with the same code, before anything is enqueued.
-                raise ServiceError(
-                    "bad_request",
-                    "ingest counts must fit in int64; counters are 64-bit",
-                ) from None
-        return self._build_json_frames(table, pairs, wait=wait)
 
     async def _send_frames(
         self,
@@ -554,9 +454,7 @@ class AsyncServiceClient:
         applied (read-your-writes without a separate query).
 
         Batches too large for one frame are split transparently (the
-        returned sequence number is the final sub-batch's); the wire —
-        JSON or binary — follows the client's ``wire`` preference and
-        the server's advertised features.
+        returned sequence number is the final sub-batch's).
         """
         pairs = [(item, int(count)) for item, count in records]
         frames = await self._build_frames(table, pairs, wait=wait)
@@ -702,7 +600,7 @@ class ServiceClient:
     """
 
     def __init__(self, host: str, port: int, *,
-                 timeout: float = 30.0, wire: str = "auto") -> None:
+                 timeout: float = 30.0) -> None:
         self._timeout = timeout
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -713,7 +611,7 @@ class ServiceClient:
         self._thread.start()
         try:
             self._client = self._run(
-                AsyncServiceClient.connect(host, port, wire=wire))
+                AsyncServiceClient.connect(host, port))
         except BaseException:
             self._stop_loop()
             raise

@@ -9,29 +9,31 @@ Frame layout (both directions)::
 Two payload kinds share the framing, distinguished by the first payload
 byte:
 
-* **Canonical-ASCII-JSON** — the payload is a single JSON object
-  serialized with ``sort_keys`` / ``ensure_ascii`` / ``allow_nan=False``
-  (so equal messages are equal bytes and every frame is strict RFC 8259
-  ASCII; lone surrogates from ``surrogateescape``-decoded text survive
-  as ``\\uDCxx`` escapes).  A canonical JSON object always begins with
+* **Canonical-ASCII-JSON** — every control and query request and every
+  response.  The payload is a single JSON object serialized with
+  ``sort_keys`` / ``ensure_ascii`` / ``allow_nan=False`` (so equal
+  messages are equal bytes and every frame is strict RFC 8259 ASCII;
+  lone surrogates from ``surrogateescape``-decoded text survive as
+  ``\\uDCxx`` escapes).  A canonical JSON object always begins with
   ``{`` (0x7B).
-* **Binary ingest** — the payload begins with :data:`BINARY_MAGIC`
-  (0xB1, never a valid JSON start byte) and carries one bulk ingest
-  request: a fixed header, the table name, a key block, and a raw
-  little-endian ``int64`` weight array.  See :func:`pack_binary_ingest`
-  for the exact layout.  Responses are always JSON — acks are tiny and
-  uniform, so only the request hot path earns a binary encoding.
+* **Binary ingest** — the only way records enter a server.  The payload
+  begins with :data:`BINARY_MAGIC` (0xB1, never a valid JSON start
+  byte) and carries one bulk ingest request: a fixed header, the table
+  name, a key block, and a raw little-endian ``int64`` weight array.
+  See :func:`pack_binary_ingest` for the exact layout.  Responses are
+  always JSON — acks are tiny and uniform, so only the request hot path
+  earns a binary encoding.
 
-Frames larger than :data:`MAX_FRAME_BYTES` are refused on both ends —
-a bounds check, not a negotiation.  What *is* negotiated is the binary
-frame itself: servers advertise :data:`FEATURE_BINARY_INGEST` in the
-``ping`` response and clients fall back to JSON when it is absent.
+Frames larger than :data:`MAX_FRAME_BYTES` are refused on both ends.
+Servers still advertise :data:`FEATURE_BINARY_INGEST` in the ``ping``
+response, so clients that negotiate on it keep choosing binary frames.
 
 Requests carry ``{"op": ..., ...}``; responses carry ``{"ok": true,
 ...}`` or ``{"ok": false, "error": {"code": ..., "message": ...}}``.
 The full op and error vocabulary is documented in ``docs/service.md``.
 
-Stream keys cross the JSON wire through :func:`encode_wire_key` /
+Stream keys in JSON requests and responses (``estimate`` keys, ``topk``
+listings) travel through :func:`encode_wire_key` /
 :func:`decode_wire_key`, which reuse the snapshot item codec
 (``repro.store.format.encode_item``) after :func:`normalize_key`
 collapses NumPy scalars to their Python equivalents — ``np.int64(7)``
@@ -42,18 +44,19 @@ key encoding cannot hash (datetime64, complex, lists, ...) with a
 protocol boundary instead of leaking store internals from deep inside
 ``encode_item``.
 
-Binary keys travel in one of two modes:
+Binary keys travel in one of two layouts; each table kind accepts one
+and the server refuses the other:
 
-* **raw** — each key is its 64-bit ``encode_key`` image, shipped as a
-  raw little-endian ``uint64`` array and fed straight into the
-  vectorized sketch paths with no per-record decode.  Lossy by design
-  (the original object never crosses the wire), which is exactly right
-  for summaries that store no stream objects — and wrong for ``topk``
-  tables, which the server refuses in this mode.
-* **packed** — each key is a self-delimiting tagged binary encoding
-  (:func:`pack_key` / :func:`unpack_key`) that round-trips the original
-  object exactly, including surrogate-escaped strings, nested tuples,
-  bytes, and the full Python ``int`` range.
+* **raw** (``sketch``, ``vectorized`` and ``window`` tables) — each key
+  is its 64-bit ``encode_key`` image, shipped as a raw little-endian
+  ``uint64`` array and fed straight into the vectorized sketch paths
+  with no per-record decode.  Lossy by design (the original object
+  never crosses the wire), which is exactly right for summaries that
+  store no stream objects.
+* **packed** (``topk`` tables) — each key is a self-delimiting tagged
+  binary encoding (:func:`pack_key` / :func:`unpack_key`) that
+  round-trips the original object exactly, including surrogate-escaped
+  strings, nested tuples, bytes, and the full Python ``int`` range.
 
 This module is the only place binary payloads are encoded or decoded
 (lint rule RS008 enforces that); everything else handles frames as
@@ -103,7 +106,7 @@ __all__ = [
     "write_frame",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame's payload, in bytes.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
@@ -118,8 +121,8 @@ BINARY_VERSION = 1
 #: Binary opcode: bulk ingest (the only binary request so far).
 BINARY_OP_INGEST = 1
 
-#: Feature tag servers advertise in the ``ping`` response when they
-#: accept binary ingest frames; clients negotiate on it.
+#: Feature tag servers advertise in the ``ping`` response: they accept
+#: binary ingest frames (the only ingest encoding).
 FEATURE_BINARY_INGEST = "binary-ingest-v1"
 
 #: Every feature the current server build advertises.
@@ -134,7 +137,6 @@ OPS = frozenset({
     "drop_table",
     "estimate",
     "estimate_rows",
-    "ingest",
     "metrics",
     "ping",
     "shutdown",
@@ -409,7 +411,7 @@ def pack_key(item: Hashable) -> bytes:
     :func:`unpack_key` — including surrogate-escaped strings, nested
     tuples, bytes, non-finite floats, and ints beyond 64 bits — and
     normalizes NumPy scalars first, so ``np.int64(7)`` and ``7`` pack
-    identically (mirroring :func:`encode_wire_key` on the JSON wire).
+    identically (mirroring :func:`encode_wire_key`).
 
     Raises:
         WireProtocolError: for key types ``encode_key`` cannot hash.
@@ -528,7 +530,7 @@ class BinaryIngest:
         return int(self.weights.size)
 
 
-def binary_ingest_capacity(table: str, *, raw: bool = True) -> int:
+def binary_ingest_capacity(table: str) -> int:
     """Most records one raw-mode binary frame can carry for ``table``.
 
     Packed-mode frames have variable per-key size; callers split those
@@ -536,7 +538,7 @@ def binary_ingest_capacity(table: str, *, raw: bool = True) -> int:
     """
     table_bytes = len(table.encode("utf-8"))
     overhead = _BIN_HEAD.size + table_bytes + _U32.size
-    per_record = 16 if raw else 16  # u64 key + i64 weight
+    per_record = 16  # u64 key + i64 weight
     return max(1, (MAX_FRAME_BYTES - overhead) // per_record)
 
 

@@ -62,8 +62,6 @@ from repro.store.format import SNAPSHOT_SUFFIX, StoreError, atomic_write_bytes
 if TYPE_CHECKING:
     from collections.abc import Awaitable, Callable, Hashable, Iterable, Sequence
 
-    import numpy as np
-
 __all__ = ["MANIFEST_NAME", "SketchServer"]
 
 #: Manifest filename inside a service checkpoint directory.
@@ -189,7 +187,7 @@ class _EstimateCache:
 
 
 class SketchServer:
-    """A live sketch set behind the length-prefixed JSON protocol.
+    """A live sketch set behind the length-prefixed wire protocol.
 
     Args:
         specs: tables to create (or resume) at construction.  More can
@@ -735,8 +733,6 @@ class SketchServer:
             return await self._op_create_table(message)
         if op == "drop_table":
             return await self._op_drop_table(message)
-        if op == "ingest":
-            return await self._op_ingest(message)
         if op == "estimate":
             return await self._op_estimate(message)
         if op == "estimate_rows":
@@ -821,60 +817,17 @@ class SketchServer:
             path.unlink()
         self._write_manifest()
 
-    async def _op_ingest(self, message: dict[str, Any]) -> dict[str, Any]:
-        request_id = message.get("id")
-        table = self._require_table(message)
-        if not self._accepting:
-            return error_response(
-                request_id, "shutting_down",
-                "server is shutting down; ingest refused",
-            )
-        records = message.get("records")
-        if not isinstance(records, list):
-            raise _BadRequest("'records' must be a list of [key, count]")
-        items: list[Hashable] = []
-        counts: list[int] = []
-        allow_negative = table.spec.allows_negative_counts
-        for index, record in enumerate(records):
-            if not isinstance(record, list) or len(record) != 2:
-                raise _BadRequest(
-                    f"record {index} is not a [key, count] pair")
-            key, count = record
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise _BadRequest(
-                    f"record {index} has a non-integer count {count!r}")
-            if count == 0:
-                raise _BadRequest(f"record {index} has a zero count")
-            if not -(2**63) <= count < 2**63:
-                # JSON carries arbitrary-precision ints, the counters do
-                # not; past this boundary the count could only crash the
-                # applier (and hang every read barrier behind it).
-                raise _BadRequest(
-                    f"record {index} has a count outside int64; "
-                    "counters are 64-bit"
-                )
-            if count < 0 and not allow_negative:
-                raise _BadRequest(
-                    f"record {index} has a negative count; "
-                    f"{table.spec.kind!r} tables are insert-only"
-                )
-            items.append(decode_wire_key(key))
-            counts.append(count)
-        seq = table.try_enqueue(items, counts)
-        if message.get("wait"):
-            await table.wait_applied(seq)
-        return ok_response(request_id, queued=len(items), seq=seq,
-                           applied=bool(message.get("wait")))
-
     async def _binary_ingest(self, frame: BinaryIngest) -> dict[str, Any]:
-        """Apply one binary ingest frame through the zero-copy path.
+        """Enqueue one binary ingest frame, the only way records enter.
 
-        Raw-mode keys are 64-bit ``encode_key`` images: hash-identical
-        to the original objects for every summary that hashes its input
-        (``encode_key(int) == int mod 2**64``), but useless to a
-        ``topk`` table, which must store the original items — those
-        must use packed keys, so the mismatch is a ``bad_request``, not
-        a silently wrong summary.
+        Each table kind accepts exactly one key layout.  Raw 64-bit
+        ``encode_key`` images are hash-identical to the original objects
+        for every summary that only hashes its input (``encode_key(int)
+        == int mod 2**64``), so ``sketch``/``vectorized``/``window``
+        tables take raw keys alone; a ``topk`` table must store the
+        original items, so it takes packed keys alone.  The other
+        layout is a ``bad_request``, never a silently wrong summary, and
+        every queued batch of a table keeps one representation.
         """
         request_id = frame.request_id
         table = self._tables.get(frame.table)
@@ -897,19 +850,15 @@ class SketchServer:
                     "binary batch has a record with a negative count; "
                     f"{table.spec.kind!r} tables are insert-only"
                 )
-        items: np.ndarray | Sequence[Hashable]
-        if frame.raw:
-            if table.spec.kind == "topk":
-                raise _BadRequest(
-                    f"table {frame.table!r} is 'topk' and stores original "
-                    "items; raw pre-encoded keys are lossy — send packed "
-                    "keys or use the JSON protocol"
-                )
-            assert frame.keys is not None
-            items = frame.keys
-        else:
-            assert frame.items is not None
-            items = frame.items
+        if frame.raw == (table.spec.kind == "topk"):
+            wanted = "packed keys" if frame.raw else "raw 64-bit key images"
+            raise _BadRequest(
+                f"table {frame.table!r} is {table.spec.kind!r} and takes "
+                f"{wanted} only: topk tables store original items, the "
+                "other kinds only hash them"
+            )
+        items = frame.keys if frame.raw else frame.items
+        assert items is not None
         seq = table.try_enqueue(items, weights)
         if frame.wait:
             await table.wait_applied(seq)

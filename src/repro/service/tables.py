@@ -228,54 +228,15 @@ class _TableMetrics:
 class _Batch:
     """One acknowledged ingest batch, awaiting application.
 
-    ``items`` is either decoded stream objects (JSON / packed-binary
-    ingest) or a ``uint64`` ndarray of pre-encoded keys (raw-binary
-    ingest); ``counts`` is an ``int64`` ndarray exactly when ``items``
-    is an ndarray.
+    ``items`` is a ``uint64`` ndarray of pre-encoded keys (raw layout:
+    ``sketch``/``vectorized``/``window`` tables) or a list of decoded
+    stream objects (packed layout: ``topk`` tables); a table accepts one
+    layout only, so all its batches agree.  ``counts`` is ``int64``.
     """
 
     seq: int
     items: list[Hashable] | np.ndarray
-    counts: list[int] | np.ndarray
-
-
-def _merge_runs(
-    batches: list[_Batch],
-) -> list[tuple[list[Hashable] | np.ndarray, list[int] | np.ndarray]]:
-    """Coalesce consecutive same-representation batches into apply units.
-
-    Merging only adjacent batches keeps the applied record order equal
-    to the acknowledged order even when ndarray (binary) and list
-    (JSON) ingest interleave on one table.
-    """
-    if len(batches) == 1:
-        return [(batches[0].items, batches[0].counts)]
-    runs: list[tuple[bool, list[_Batch]]] = []
-    for batch in batches:
-        is_array = isinstance(batch.items, np.ndarray)
-        if runs and runs[-1][0] == is_array:
-            runs[-1][1].append(batch)
-        else:
-            runs.append((is_array, [batch]))
-    merged: list[
-        tuple[list[Hashable] | np.ndarray, list[int] | np.ndarray]
-    ] = []
-    for is_array, run in runs:
-        if len(run) == 1:
-            merged.append((run[0].items, run[0].counts))
-        elif is_array:
-            merged.append((
-                np.concatenate([batch.items for batch in run]),
-                np.concatenate([batch.counts for batch in run]),
-            ))
-        else:
-            items: list[Hashable] = []
-            counts: list[int] = []
-            for batch in run:
-                items.extend(batch.items)
-                counts.extend(batch.counts)
-            merged.append((items, counts))
-    return merged
+    counts: np.ndarray
 
 
 class ServiceTable:
@@ -388,14 +349,18 @@ class ServiceTable:
         All-or-nothing: on overload the batch is rejected whole and
         :class:`TableOverloadedError` carries the queue state — callers
         surface it as an explicit ``overloaded`` response, never a
-        silent drop.
+        silent drop.  The queue is checked before the ingest quota, so
+        a refused batch spends no tokens.
 
-        NumPy arrays are enqueued as-is (the raw-binary zero-copy path:
-        a ``uint64`` key array plus its ``int64`` weights); list inputs
-        are copied defensively as before.
+        NumPy key arrays are enqueued as-is (the raw-binary zero-copy
+        path); other item sequences are copied defensively.
         """
         if len(items) != len(counts):
             raise ValueError("items and counts must have the same length")
+        if self._queue.full():
+            self._metrics.overloads.inc()
+            raise TableOverloadedError(
+                self.spec.name, self._queue.qsize(), self._capacity)
         if self._ingest_quota is not None and not (
             self._ingest_quota.try_take(len(items))
         ):
@@ -404,25 +369,12 @@ class ServiceTable:
                 self.spec.name, "ingest", len(items),
                 self._ingest_quota.retry_after(len(items)),
             )
-        kept_items: list[Hashable] | np.ndarray
-        kept_counts: list[int] | np.ndarray
-        if isinstance(items, np.ndarray):
-            kept_items = items
-            kept_counts = np.ascontiguousarray(counts, dtype=np.int64)
-        else:
-            kept_items = list(items)
-            kept_counts = (
-                counts.tolist() if isinstance(counts, np.ndarray)
-                else list(counts)
-            )
-        batch = _Batch(self._enqueued_seq + 1, kept_items, kept_counts)
-        try:
-            self._queue.put_nowait(batch)
-        except asyncio.QueueFull:
-            self._metrics.overloads.inc()
-            raise TableOverloadedError(
-                self.spec.name, self._queue.qsize(), self._capacity
-            ) from None
+        batch = _Batch(
+            self._enqueued_seq + 1,
+            items if isinstance(items, np.ndarray) else list(items),
+            np.ascontiguousarray(counts, dtype=np.int64),
+        )
+        self._queue.put_nowait(batch)  # fits: nothing awaited since full()
         self._enqueued_seq = batch.seq
         self._metrics.ingested_batches.inc()
         self._metrics.ingested_records.inc(len(batch.items))
@@ -489,20 +441,23 @@ class ServiceTable:
     def _apply(self, batches: list[_Batch]) -> None:
         """Apply coalesced batches synchronously (between awaits).
 
-        Consecutive batches of like representation merge before the
-        apply call — ndarray runs concatenate (one vectorized call, no
-        per-record boxing), list runs extend.  Runs are applied in
-        arrival order, so order-sensitive summaries see the exact
-        acknowledged sequence.
+        The batches concatenate, in arrival order, into one apply call
+        (all of a table's batches share a representation), so
+        order-sensitive summaries see the exact acknowledged sequence
+        and key arrays take one vectorized call.
         """
         start = time.perf_counter()
-        applied = 0
-        for items, counts in _merge_runs(batches):
-            if self._manager is not None:
-                self._manager.update_batch(items, counts)
-            else:
-                apply_update_batch(self.summary, items, counts)
-            applied += len(items)
+        items: list[Hashable] | np.ndarray
+        if isinstance(batches[0].items, np.ndarray):
+            items = np.concatenate([batch.items for batch in batches])
+        else:
+            items = [item for batch in batches for item in batch.items]
+        counts = np.concatenate([batch.counts for batch in batches])
+        if self._manager is not None:
+            self._manager.update_batch(items, counts)
+        else:
+            apply_update_batch(self.summary, items, counts)
+        applied = len(items)
         self._records_applied += applied
         self._metrics.apply_seconds.observe(time.perf_counter() - start)
         self._metrics.applied_batches.inc(len(batches))

@@ -1,10 +1,10 @@
-"""End-to-end binary ingest wire: negotiation, exactness, splitting.
+"""End-to-end binary ingest wire: exactness, key layouts, splitting.
 
-The binary frame is a bulk fast path, not a second source of truth:
-everything here asserts *bit-equality* against an offline summary fed
-the same acknowledged prefix, mirroring the JSON-wire exactness tests.
-Negotiation and fallback (feature flag, forced modes, weight overflow)
-and transparent frame splitting are covered over both transports.
+Binary frames are the only way records enter a server: everything here
+asserts *bit-equality* against an offline summary fed the same
+acknowledged prefix.  The feature flag, the one key layout each table
+kind accepts, weight overflow and transparent frame splitting are
+covered over both transports.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import pytest
 
 import repro.service.client as client_module
 import repro.service.protocol as protocol_module
-from repro.service.client import (
-    AsyncServiceClient,
-    InProcessTransport,
-    ServiceError,
+from repro.service.client import AsyncServiceClient, ServiceError
+from repro.service.protocol import (
+    WireProtocolError,
+    pack_binary_ingest,
+    pack_key,
+    unpack_frame,
 )
-from repro.service.protocol import WireProtocolError
 from repro.service.server import SketchServer
 from repro.service.tables import TableSpec
 
@@ -40,16 +41,9 @@ def run(coro):
     return asyncio.run(coro)
 
 
-class FeatureStrippingTransport(InProcessTransport):
-    """A server that predates the binary wire: no features in ping."""
-
-    async def request_bytes(self, frame):
-        response = await super().request_bytes(frame)
-        response.pop("features", None)
-        return response
-
-
 class TestNegotiation:
+    """Clients that negotiate on ``ping`` still find the one wire."""
+
     def test_ping_advertises_binary_ingest(self):
         async def go():
             server = SketchServer([spec_for("sketch")])
@@ -59,12 +53,11 @@ class TestNegotiation:
 
         run(go())
 
-    @pytest.mark.parametrize("wire", ["auto", "binary", "json"])
-    def test_every_wire_mode_reaches_the_same_counters(self, wire):
+    def test_ingest_reaches_the_offline_counters(self):
         async def go():
             spec = spec_for("sketch")
             server = SketchServer([spec])
-            client = AsyncServiceClient.in_process(server, wire=wire)
+            client = AsyncServiceClient.in_process(server)
             offline = spec.build()
             records = [(f"item-{i % 7}", i + 1) for i in range(50)]
             await client.ingest(spec.name, records, wait=True)
@@ -73,36 +66,6 @@ class TestNegotiation:
             probes = [f"item-{i}" for i in range(8)]
             live = await client.estimate(spec.name, probes)
             assert live == [float(offline.estimate(p)) for p in probes]
-            await server.stop()
-
-        run(go())
-
-    def test_forced_binary_refused_by_legacy_server(self):
-        async def go():
-            spec = spec_for("sketch")
-            server = SketchServer([spec])
-            client = AsyncServiceClient(
-                FeatureStrippingTransport(server), wire="binary")
-            with pytest.raises(ServiceError) as excinfo:
-                await client.ingest(spec.name, [("a", 1)])
-            assert excinfo.value.code == "bad_request"
-            assert "binary-ingest-v1" in excinfo.value.message
-            await server.stop()
-
-        run(go())
-
-    def test_auto_falls_back_to_json_on_legacy_server(self):
-        async def go():
-            spec = spec_for("sketch")
-            server = SketchServer([spec])
-            client = AsyncServiceClient(
-                FeatureStrippingTransport(server), wire="auto")
-            offline = spec.build()
-            await client.ingest(spec.name, [("a", 3), ("b", 2)], wait=True)
-            offline.update("a", 3)
-            offline.update("b", 2)
-            live = await client.estimate(spec.name, ["a", "b"])
-            assert live == [float(offline.estimate(p)) for p in ("a", "b")]
             await server.stop()
 
         run(go())
@@ -116,7 +79,7 @@ class TestBinaryMidStreamExactness:
         async def go():
             spec = spec_for(kind)
             server = SketchServer([spec])
-            client = AsyncServiceClient.in_process(server, wire="binary")
+            client = AsyncServiceClient.in_process(server)
             offline = spec.build()
             rng = random.Random(42)
             stream = [rng.randrange(40) for __ in range(600)]
@@ -147,8 +110,7 @@ class TestBinaryMidStreamExactness:
             spec = spec_for("vectorized", "flows")
             server = SketchServer([spec])
             host, port = await server.start()
-            client = await AsyncServiceClient.connect(
-                host, port, wire="binary")
+            client = await AsyncServiceClient.connect(host, port)
             rng = random.Random(7)
             stream = [rng.randrange(200) for __ in range(4000)]
             half = len(stream) // 2
@@ -182,7 +144,7 @@ class TestBinaryMidStreamExactness:
         async def go():
             spec = spec_for("topk")
             server = SketchServer([spec])
-            client = AsyncServiceClient.in_process(server, wire="binary")
+            client = AsyncServiceClient.in_process(server)
             keys = [("flow", 8080), "\udcff-garbled", b"\x00\xff",
                     2**70, -1.5, True]
             await client.ingest(spec.name, [(k, 9) for k in keys],
@@ -199,7 +161,7 @@ class TestBinaryMidStreamExactness:
         async def go():
             spec = spec_for("topk")
             server = SketchServer([spec])
-            client = AsyncServiceClient.in_process(server, wire="binary")
+            client = AsyncServiceClient.in_process(server)
             await client.ingest(
                 spec.name, [(float("nan"), 5), ("ok", 3)], wait=True)
             with pytest.raises(ServiceError) as excinfo:
@@ -220,33 +182,11 @@ class TestAutoSplit:
         monkeypatch.setattr(protocol_module, "MAX_FRAME_BYTES", 16384)
         monkeypatch.setattr(client_module, "MAX_FRAME_BYTES", 16384)
 
-    def test_json_batch_splits(self, tiny_frames):
-        async def go():
-            spec = spec_for("sketch")
-            server = SketchServer([spec])
-            client = AsyncServiceClient.in_process(server, wire="json")
-            pairs = [(f"item-{i % 50}", 1) for i in range(3000)]
-            frames = await client._build_frames(
-                spec.name, pairs, wait=True)
-            assert len(frames) > 1
-            offline = spec.build()
-            await client.ingest(spec.name, pairs, wait=True)
-            for item, count in pairs:
-                offline.update(item, count)
-            probes = [f"item-{i}" for i in range(50)]
-            live = await client.estimate(spec.name, probes)
-            assert live == [float(offline.estimate(p)) for p in probes]
-            stats = await client.stats(spec.name)
-            assert stats["table"]["records_applied"] == len(pairs)
-            await server.stop()
-
-        run(go())
-
     def test_binary_raw_batch_splits(self, tiny_frames):
         async def go():
             spec = spec_for("vectorized")
             server = SketchServer([spec])
-            client = AsyncServiceClient.in_process(server, wire="binary")
+            client = AsyncServiceClient.in_process(server)
             pairs = [(i % 100, 1) for i in range(5000)]
             frames = await client._build_frames(
                 spec.name, pairs, wait=True)
@@ -268,7 +208,7 @@ class TestAutoSplit:
         async def go():
             spec = spec_for("topk")
             server = SketchServer([spec])
-            client = AsyncServiceClient.in_process(server, wire="binary")
+            client = AsyncServiceClient.in_process(server)
             pairs = [(f"query-{i % 30}-" + "x" * 40, 1)
                      for i in range(2000)]
             frames = await client._build_frames(
@@ -289,7 +229,7 @@ class TestAutoSplit:
         async def go():
             spec = spec_for("topk")
             server = SketchServer([spec])
-            client = AsyncServiceClient.in_process(server, wire="json")
+            client = AsyncServiceClient.in_process(server)
             with pytest.raises(WireProtocolError, match="exceeds"):
                 await client.ingest(spec.name, [("y" * 64000, 1)])
             await server.stop()
@@ -302,7 +242,7 @@ class TestBinaryIngestValidation:
         async def go():
             server = SketchServer([spec_for("sketch"),
                                    spec_for("topk", "top")])
-            client = AsyncServiceClient.in_process(server, wire="binary")
+            client = AsyncServiceClient.in_process(server)
             for table in ("t", "top"):  # raw and packed key paths
                 with pytest.raises(WireProtocolError,
                                    match="unsupported key type"):
@@ -315,16 +255,16 @@ class TestBinaryIngestValidation:
 
         run(go())
 
-    @pytest.mark.parametrize("wire", ["auto", "binary", "json"])
-    def test_count_beyond_int64_refused_on_every_wire(self, wire):
-        # Regression: the JSON wire used to accept a 2**70 count, which
-        # crashed the applier task (int64 counters) and hung every read
-        # barrier behind it.  Now all wires refuse it up front and the
-        # table stays live.
+    @pytest.mark.parametrize("kind", ["sketch", "topk"])
+    def test_count_beyond_int64_refused_on_every_key_layout(self, kind):
+        # Regression: a 2**70 count once crashed the applier task
+        # (int64 counters) and hung every read barrier behind it.  Raw
+        # and packed frames alike refuse it up front and the table
+        # stays live.
         async def go():
-            spec = spec_for("sketch")
+            spec = spec_for(kind)
             server = SketchServer([spec])
-            client = AsyncServiceClient.in_process(server, wire=wire)
+            client = AsyncServiceClient.in_process(server)
             for bad in (2**63, -(2**63) - 1, 2**70):
                 with pytest.raises(ServiceError) as excinfo:
                     await client.ingest(spec.name, [("big", bad)])
@@ -341,11 +281,6 @@ class TestBinaryIngestValidation:
         # sending raw hashes at a topk table must be refused — the
         # table stores original items the hash cannot reconstruct.
         async def go():
-            from repro.service.protocol import (
-                pack_binary_ingest,
-                unpack_frame,
-            )
-
             server = SketchServer([spec_for("topk")])
             frame = pack_binary_ingest(
                 "t", 1,
@@ -356,6 +291,24 @@ class TestBinaryIngestValidation:
             response = await server.dispatch_binary(unpack_frame(frame))
             assert response["ok"] is False
             assert response["error"]["code"] == "bad_request"
+            await server.stop()
+
+        run(go())
+
+    def test_packed_keys_refused_for_vectorized_tables_server_side(self):
+        # Hash-only tables take raw 64-bit images alone, so every
+        # queued batch of a table has one representation.
+        async def go():
+            server = SketchServer([spec_for("vectorized")])
+            frame = pack_binary_ingest(
+                "t", 1, [pack_key("a")], np.array([1], dtype=np.int64),
+                raw=False,
+            )
+            response = await server.dispatch_binary(unpack_frame(frame))
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad_request"
+            assert "raw 64-bit key images" in response["error"]["message"]
+            assert server.tables["t"].enqueued_seq == 0
             await server.stop()
 
         run(go())

@@ -74,7 +74,7 @@ class TestSyncClientOverTcp:
                       + ["stream"] * 3 + ["rare"])
             with ServiceClient(box.host, box.port, timeout=10) as client:
                 info = client.ping()
-                assert info["version"] == 1
+                assert info["version"] == 2
 
                 client.ingest("queries", [(q, 1) for q in stream])
                 for query in stream:

@@ -11,15 +11,26 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
+
+from repro.hashing.vectorized import encode_keys
 from repro.observability.registry import MetricsRegistry
 from repro.service.client import AsyncServiceClient
-from repro.service.protocol import pack_frame
+from repro.service.protocol import pack_binary_ingest
 from repro.service.server import SketchServer
 from repro.service.tables import TableSpec
 
 
 def spec_for(name: str = "t") -> TableSpec:
     return TableSpec(name, kind="sketch", depth=4, width=128, seed=3)
+
+
+def ingest_frame(request_id: int, items: list[str]) -> bytes:
+    """One raw-layout binary ingest frame for table ``t``, counts 1."""
+    return pack_binary_ingest(
+        "t", request_id, encode_keys(items),
+        np.ones(len(items), dtype=np.int64), raw=True,
+    )
 
 
 def run(coro):
@@ -51,12 +62,8 @@ class TestClientDisconnect:
             reader, writer = await asyncio.open_connection(host, port)
             await _wait_for(lambda: gauge.value == 2)
             for index in range(200):
-                frame = pack_frame({
-                    "op": "ingest", "id": index, "table": "t",
-                    "records": [[f"ghost-{index}-{i}", 1]
-                                for i in range(10)],
-                })
-                writer.write(frame)
+                writer.write(ingest_frame(
+                    index, [f"ghost-{index}-{i}" for i in range(10)]))
             await writer.drain()
             writer.transport.abort()
 
@@ -123,10 +130,7 @@ class TestClientDisconnect:
             gauge = registry.gauge("service_open_connections")
             for round_index in range(10):
                 reader, writer = await asyncio.open_connection(host, port)
-                writer.write(pack_frame({
-                    "op": "ingest", "id": 1, "table": "t",
-                    "records": [[f"churn-{round_index}", 1]],
-                }))
+                writer.write(ingest_frame(1, [f"churn-{round_index}"]))
                 await writer.drain()
                 writer.transport.abort()
             await _wait_for(lambda: gauge.value == 0)

@@ -27,7 +27,11 @@ from repro.service.limits import (
     WeightedFairScheduler,
 )
 from repro.service.server import SketchServer
-from repro.service.tables import TableSpec
+from repro.service.tables import (
+    ServiceTable,
+    TableOverloadedError,
+    TableSpec,
+)
 
 
 def spec_for(name: str = "t") -> TableSpec:
@@ -251,6 +255,20 @@ class TestIngestQuota:
             await server.stop()
 
         run(go())
+
+    def test_overloaded_refusal_spends_no_tokens(self):
+        # A batch refused for a full queue was never enqueued, so it
+        # must not cost quota — nor cost twice when it is retried.
+        bucket = TokenBucket(1.0, 100.0, clock=FakeClock())
+        table = ServiceTable(spec_for(), MetricsRegistry(),
+                             queue_capacity=1, ingest_quota=bucket)
+        table.try_enqueue(["a"] * 10, [1] * 10)
+        assert bucket.tokens == 90
+        for _ in range(3):
+            with pytest.raises(TableOverloadedError):
+                table.try_enqueue(["b"] * 10, [1] * 10)
+        assert bucket.tokens == 90
+        assert table.enqueued_seq == 1
 
 
 class TestQueryQuota:

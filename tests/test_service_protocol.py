@@ -11,7 +11,9 @@ than resynchronized silently.
 from __future__ import annotations
 
 import asyncio
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from repro.hashing.encode import encode_key
 from repro.service.protocol import (
     BINARY_MAGIC,
     BINARY_VERSION,
+    ERROR_CODES,
     MAX_FRAME_BYTES,
+    OPS,
     BinaryIngest,
     FrameTooLargeError,
     WireProtocolError,
@@ -485,3 +489,26 @@ class TestResponseHelpers:
     def test_unknown_error_code_rejected(self):
         with pytest.raises(ValueError, match="unknown error code"):
             error_response(None, "nope", "msg")
+
+
+class TestDocumentedVocabulary:
+    """docs/service.md lists exactly the ops and error codes served."""
+
+    DOC = Path(__file__).parent.parent / "docs" / "service.md"
+
+    def test_op_table_matches_ops(self):
+        lines = self.DOC.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| op | fields | answer |")
+        documented = set()
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            documented.add(re.match(r"\| `(\w+)` \|", line).group(1))
+        assert documented == OPS
+
+    def test_error_list_matches_error_codes(self):
+        text = " ".join(self.DOC.read_text(encoding="utf-8").split())
+        sentence = re.search(
+            r"Error codes are a closed vocabulary: ([^.]*)\.", text)
+        assert sentence is not None
+        assert set(re.findall(r"`(\w+)`", sentence.group(1))) == ERROR_CODES

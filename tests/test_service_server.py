@@ -12,13 +12,16 @@ from __future__ import annotations
 import asyncio
 import random
 
+import numpy as np
 import pytest
 
+from repro.hashing.vectorized import encode_keys
 from repro.service.client import (
     AsyncServiceClient,
     OverloadedError,
     ServiceError,
 )
+from repro.service.protocol import pack_binary_ingest, unpack_frame
 from repro.service.server import SketchServer
 from repro.service.tables import ServiceTable, TableSpec
 
@@ -146,14 +149,14 @@ class TestRequestValidation:
             client = AsyncServiceClient.in_process(server)
             with pytest.raises(ServiceError, match="zero count"):
                 await client.ingest("t", [("a", 0)])
+            # Records enter through binary frames only: a JSON ingest
+            # request is an unknown op.
             response = await server.dispatch(
-                {"op": "ingest", "table": "t", "records": [["a"]]}
+                {"op": "ingest", "table": "t", "records": [["a", 1]]}
             )
             assert response["error"]["code"] == "bad_request"
-            response = await server.dispatch(
-                {"op": "ingest", "table": "t", "records": [["a", 1.5]]}
-            )
-            assert response["error"]["code"] == "bad_request"
+            assert "unknown op 'ingest'" in response["error"]["message"]
+            assert server.tables["t"].enqueued_seq == 0
             # Nothing was enqueued by any refused request.
             stats = await client.stats("t")
             assert stats["table"]["records_applied"] == 0
@@ -224,7 +227,7 @@ class TestTableLifecycle:
                                    spec_for("topk", "b")])
             client = AsyncServiceClient.in_process(server)
             info = await client.ping()
-            assert info["version"] == 1
+            assert info["version"] == 2
             assert info["tables"] == 2
             assert info["accepting"] is True
             stats = await client.stats()
@@ -316,9 +319,11 @@ class TestShutdown:
             client = AsyncServiceClient.in_process(server)
             await client.ingest_items("t", ["a"])
             await server.stop()
-            response = await server.dispatch(
-                {"op": "ingest", "table": "t", "records": [["b", 1]]}
+            frame = pack_binary_ingest(
+                "t", 1, encode_keys(["b"]), np.ones(1, dtype=np.int64),
+                raw=True,
             )
+            response = await server.dispatch_binary(unpack_frame(frame))
             assert response["error"]["code"] == "shutting_down"
             response = await server.dispatch(
                 {"op": "create_table", "spec": {"name": "late"}}

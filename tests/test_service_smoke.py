@@ -77,7 +77,7 @@ class TestServiceSmoke:
         write_stream_text(stream_file, STREAM)
 
         assert query(port, "ping") == 0
-        assert '"version": 1' in capsys.readouterr().out
+        assert '"version": 2' in capsys.readouterr().out
 
         assert query(port, "create",
                      "--table", "flows:sketch:depth=4,width=64") == 0
@@ -127,12 +127,12 @@ class TestServiceSmoke:
         capsys.readouterr()
 
         # topk table → lossless packed keys on the wire.
-        assert query(port, "ingest", "--wire", "binary",
+        assert query(port, "ingest",
                      "--table", "queries", "--input", str(stream_file)) == 0
         assert f"ingested {len(STREAM)} records" in capsys.readouterr().out
 
         # linear sketch → raw pre-encoded 64-bit keys.
-        assert query(port, "ingest", "--wire", "binary",
+        assert query(port, "ingest",
                      "--table", "flows", "--input", str(stream_file)) == 0
         capsys.readouterr()
 
