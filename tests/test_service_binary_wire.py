@@ -53,13 +53,29 @@ class TestNegotiation:
 
         run(go())
 
-    def test_ingest_reaches_the_offline_counters(self):
+    # The wire settings a client could carry before binary frames became
+    # the only ingest wire.  An ``auto`` client negotiates on ``ping``
+    # and a ``binary`` client sends frames outright; a ``json`` client's
+    # ingest op is refused before anything is enqueued, so resending its
+    # records as frames must not count them twice.
+    @pytest.mark.parametrize("wire", ["auto", "binary", "json"])
+    def test_every_wire_mode_reaches_the_same_counters(self, wire):
         async def go():
             spec = spec_for("sketch")
             server = SketchServer([spec])
             client = AsyncServiceClient.in_process(server)
             offline = spec.build()
             records = [(f"item-{i % 7}", i + 1) for i in range(50)]
+            if wire == "auto":
+                features = (await client.ping())["features"]
+                assert "binary-ingest-v1" in features
+            elif wire == "json":
+                response = await server.dispatch({
+                    "op": "ingest", "table": spec.name,
+                    "records": [list(record) for record in records],
+                })
+                assert response["error"]["code"] == "bad_request"
+                assert server.tables[spec.name].enqueued_seq == 0
             await client.ingest(spec.name, records, wait=True)
             for item, count in records:
                 offline.update(item, count)
