@@ -742,7 +742,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             checkpoint_every_seconds=args.checkpoint_every_seconds,
             registry=registry,
             limits=limits,
-            estimate_cache=args.estimate_cache,
         )
     except ValueError as error:
         return _usage_fail(str(error))
@@ -1424,11 +1423,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fairness weight for a table (repeatable; "
                             "unlisted tables weigh 1; needs "
                             "--fair-quantum)")
-    serve.add_argument("--estimate-cache", type=int, default=None,
-                       metavar="CAPACITY",
-                       help="cache up to CAPACITY estimate answers "
-                            "(W-TinyLFU admission), invalidated on any "
-                            "ingest to the table (default: off)")
     _add_metrics_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)
 

@@ -10,7 +10,7 @@ exact answers:
 * ``estimate`` — each shard returns its per-row signed counter readouts
   (the new ``estimate_rows`` op).  By §3.2 linearity those integers sum,
   row by row, to the readouts of the merged sketch, so the coordinator
-  adds them and applies the summary kind's own median — **bit-equal** to
+  adds them and applies the median — **bit-equal** to
   querying one offline sketch fed every record.  Integer sums commute
   and never round, so neither the partition nor the gather order can
   perturb the answer.
@@ -38,8 +38,6 @@ import statistics
 import threading
 import time
 from typing import TYPE_CHECKING, Any
-
-import numpy as np
 
 from repro.cluster.routing import partition_keys
 from repro.hashing.vectorized import encode_keys
@@ -77,22 +75,17 @@ class _ClusterMetrics:
         self.shards = registry.gauge("cluster_shards")
 
 
-def _median_rows(kind: str, rows: Sequence[Sequence[int]]) -> list[float]:
-    """Finalize summed row readouts with the *kind's own* median.
+def _median_rows(rows: Sequence[Sequence[int]]) -> list[float]:
+    """Finalize summed row readouts with the paper's median.
 
     Each entry of ``rows`` is one item's depth-length list of summed
-    integer readouts.  The scalar kinds (``sketch``, and ``topk`` whose
-    inner sketch is scalar) take ``statistics.median`` over per-row
-    float casts — exactly :meth:`CountSketch.estimate`'s arithmetic,
-    since ``float(a·s) == float(a)·s`` for ``s = ±1``.  ``vectorized``
-    goes through the same float64 array and ``np.median`` reduction as
-    :meth:`VectorizedCountSketch.estimate_batch`.
+    integer readouts.  ``statistics.median`` over per-row float casts is
+    exactly :meth:`CountSketch.estimate`'s arithmetic (``float(a·s) ==
+    float(a)·s`` for ``s = ±1``), and it is also bit-equal to the
+    float64 ``np.median`` reduction of
+    :meth:`VectorizedCountSketch.estimate_batch`: both return the middle
+    value, or half the sum of the two middle values, of the same floats.
     """
-    if not rows:
-        return []
-    if kind == "vectorized":
-        stacked = np.array(rows, dtype=np.float64).T
-        return [float(value) for value in np.median(stacked, axis=0)]
     return [
         statistics.median([float(value) for value in item_rows])
         for item_rows in rows
@@ -128,7 +121,7 @@ class ClusterCoordinator:
         if not clients:
             raise ValueError("a cluster needs at least one shard client")
         self._clients = list(clients)
-        self._table_specs: dict[str, dict[str, Any]] = {}
+        self._table_specs: dict[str, TableSpec] = {}
         registry = get_registry()
         self._metrics = (
             _ClusterMetrics(registry) if registry.enabled else None
@@ -178,12 +171,12 @@ class ClusterCoordinator:
                     time.perf_counter() - start)
                 self._metrics.queries.inc()
 
-    async def _table_spec(self, table: str) -> dict[str, Any]:
-        """The table's pinned spec dict (cached; one ``stats`` on miss)."""
+    async def _table_spec(self, table: str) -> TableSpec:
+        """The table's pinned spec (cached; one ``stats`` on a miss)."""
         spec = self._table_specs.get(table)
         if spec is None:
             response = await self._clients[0].stats(table)
-            spec = dict(response["table"]["spec"])
+            spec = TableSpec.from_dict(response["table"]["spec"])
             self._table_specs[table] = spec
         return spec
 
@@ -207,7 +200,7 @@ class ClusterCoordinator:
             )
         created = await self._gather(
             client.create_table(spec) for client in self._clients)
-        self._table_specs[spec.name] = spec.to_dict()
+        self._table_specs[spec.name] = spec
         return any(bool(flag) for flag in created)
 
     async def drop_table(self, table: str) -> int:
@@ -251,8 +244,7 @@ class ClusterCoordinator:
         pairs = [(item, int(count)) for item, count in records]
         if not pairs:
             return 0
-        spec = await self._table_spec(table)
-        ship_originals = spec["kind"] == "topk"
+        ship_originals = (await self._table_spec(table)).packed_keys
         keys = encode_keys([item for item, _ in pairs])
         shards = partition_keys(keys, self.n_shards)
         calls = []
@@ -308,9 +300,7 @@ class ClusterCoordinator:
         items = list(items)
         if not items:
             return []
-        spec = await self._table_spec(table)
-        return _median_rows(str(spec["kind"]),
-                            await self.estimate_rows(table, items))
+        return _median_rows(await self.estimate_rows(table, items))
 
     async def topk(
         self, table: str, k: int | None = None
@@ -325,9 +315,8 @@ class ClusterCoordinator:
         contribute empty candidate lists and all-zero readouts, which
         are exact by linearity.
         """
-        spec = await self._table_spec(table)
         if k is None:
-            k = int(spec.get("k", 10))
+            k = (await self._table_spec(table)).k
         if k < 1:
             raise ValueError("k must be at least 1")
         per_shard = await self._gather(
@@ -339,8 +328,7 @@ class ClusterCoordinator:
         candidates = list(union)
         if not candidates:
             return []
-        scores = _median_rows(
-            str(spec["kind"]), await self.estimate_rows(table, candidates))
+        scores = _median_rows(await self.estimate_rows(table, candidates))
         ranked = sorted(
             zip(candidates, scores, strict=True),
             key=lambda pair: (-pair[1], repr(pair[0])),
@@ -360,7 +348,7 @@ class ClusterCoordinator:
         Evaluates the §3.2 *difference sketch* ``after - before``
         without materialising it: per-item row readouts of both tables
         are summed across shards, subtracted, and finalized with the
-        kind's median — bit-equal to
+        median — bit-equal to
         :meth:`repro.store.archive.SketchArchive.diff` over the merged
         sketches.  Candidates default to the union of both tables'
         shard-local top-k lists (both must then be ``topk`` tables);
@@ -368,13 +356,12 @@ class ClusterCoordinator:
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        spec_before = await self._table_spec(before)
-        spec_after = await self._table_spec(after)
-        kind = str(spec_before["kind"])
-        if str(spec_after["kind"]) != kind:
+        kind = (await self._table_spec(before)).kind
+        kind_after = (await self._table_spec(after)).kind
+        if kind_after != kind:
             raise ValueError(
                 f"tables {before!r} ({kind}) and {after!r} "
-                f"({spec_after['kind']}) have different kinds; their "
+                f"({kind_after}) have different kinds; their "
                 "sketches cannot be subtracted"
             )
         if items is None:
@@ -403,9 +390,9 @@ class ClusterCoordinator:
             for item_before, item_after in zip(rows_before, rows_after,
                                                strict=True)
         ]
-        changes = _median_rows(kind, diff_rows)
-        est_before = _median_rows(kind, rows_before)
-        est_after = _median_rows(kind, rows_after)
+        changes = _median_rows(diff_rows)
+        est_before = _median_rows(rows_before)
+        est_after = _median_rows(rows_after)
         entries = [
             ArchiveDiffEntry(
                 item=item,

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import random
 import time
+import zlib
 from contextlib import contextmanager
 from collections.abc import Callable, Iterator
 from typing import Any
@@ -101,8 +102,9 @@ class Histogram:
     observation; quantiles are computed over a classic reservoir sample
     (Vitter's Algorithm R) of at most ``reservoir_size`` values, so a
     histogram never grows with the stream.  The reservoir RNG is seeded
-    from the metric name, keeping snapshots deterministic for a fixed
-    observation sequence (the repo-wide reproducibility rule).
+    from a CRC-32 of the metric name, keeping snapshots deterministic for
+    a fixed observation sequence in every process, whatever its
+    ``PYTHONHASHSEED`` (the repo-wide reproducibility rule).
     """
 
     __slots__ = (
@@ -120,7 +122,8 @@ class Histogram:
         self._max = float("-inf")
         self._reservoir: list[float] = []
         self._capacity = reservoir_size
-        self._rng = random.Random(hash(name) & 0xFFFFFFFF)
+        # ``hash(str)`` is salted per process; CRC-32 of the name is not.
+        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
 
     def observe(self, value: float) -> None:
         """Record one observation."""

@@ -306,7 +306,7 @@ class AsyncServiceClient:
     def __init__(self, transport: TcpTransport | InProcessTransport) -> None:
         self._transport = transport
         self._ids = itertools.count(1)
-        self._table_kinds: dict[str, str] = {}
+        self._table_specs: dict[str, TableSpec] = {}
 
     @classmethod
     async def connect(cls, host: str, port: int) -> AsyncServiceClient:
@@ -333,25 +333,25 @@ class AsyncServiceClient:
         """Create a table; ``False`` when it already existed (same
         spec — a differing spec raises ``table_exists``)."""
         response = await self._call("create_table", spec=spec.to_dict())
-        self._table_kinds[spec.name] = spec.kind
+        self._table_specs[spec.name] = spec
         return bool(response["created"])
 
     async def drop_table(self, table: str) -> int:
         """Drop a table; returns the records it had applied."""
         response = await self._call("drop_table", table=table)
-        self._table_kinds.pop(table, None)
+        self._table_specs.pop(table, None)
         return int(response["records_applied"])
 
     # -- ingest ---------------------------------------------------------------
 
-    async def _table_kind(self, table: str) -> str:
-        """The table's summary kind (cached; one ``stats`` on a miss)."""
-        kind = self._table_kinds.get(table)
-        if kind is None:
+    async def _table_spec(self, table: str) -> TableSpec:
+        """The table's spec (cached; one ``stats`` on a miss)."""
+        spec = self._table_specs.get(table)
+        if spec is None:
             response = await self._call("stats", table=table)
-            kind = str(response["table"]["spec"]["kind"])
-            self._table_kinds[table] = kind
-        return kind
+            spec = TableSpec.from_dict(response["table"]["spec"])
+            self._table_specs[table] = spec
+        return spec
 
     async def _build_frames(
         self,
@@ -362,12 +362,12 @@ class AsyncServiceClient:
     ) -> list[tuple[bytes, list[tuple[Hashable, int]]]]:
         """Pack one batch into binary ingest frames within the byte budget.
 
-        The table's kind picks the key layout the server accepts: raw
+        The table's spec picks the key layout the server accepts: raw
         64-bit images, or packed keys for ``topk`` tables.  Only the
         final frame carries ``wait``; the applier is FIFO per table, so
         its application implies every earlier sub-batch applied too.
         """
-        raw = await self._table_kind(table) != "topk"
+        raw = not (await self._table_spec(table)).packed_keys
         chunks: list[list[tuple[Hashable, int]]]
         blobs: list[list[bytes]] = []
         if raw:

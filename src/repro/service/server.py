@@ -46,7 +46,6 @@ from repro.service.protocol import (
     read_frame,
     write_frame,
 )
-from repro.cache.policy import TinyLFUCache
 from repro.core.countsketch import CountSketch
 from repro.core.topk import TopKTracker
 from repro.core.vectorized import VectorizedCountSketch
@@ -60,7 +59,7 @@ from repro.store.checkpoint import CheckpointManager, CheckpointMismatchError
 from repro.store.format import SNAPSHOT_SUFFIX, StoreError, atomic_write_bytes
 
 if TYPE_CHECKING:
-    from collections.abc import Awaitable, Callable, Hashable, Iterable, Sequence
+    from collections.abc import Awaitable, Callable, Hashable, Iterable
 
 __all__ = ["MANIFEST_NAME", "SketchServer"]
 
@@ -102,90 +101,6 @@ class _ServerMetrics:
             "service_shed_connections_total")
 
 
-class _EstimateCache:
-    """Read-through TinyLFU front for the ``estimate`` path (opt-in).
-
-    Entries are keyed ``(table_name, item)`` and tagged with the
-    table's ``enqueued_seq`` at compute time.  Any ingest touching the
-    table bumps that sequence, so every cached entry of the table goes
-    stale at once — a lookup under a newer sequence recomputes, which
-    preserves the read-your-acknowledged-writes contract bit-for-bit.
-    Residency is decided by the W-TinyLFU admission policy; the value
-    map is pruned lazily against policy residency, so it stays within a
-    small constant factor of the configured capacity.
-    """
-
-    __slots__ = ("_capacity", "_entries", "_policy", "hits", "misses")
-
-    def __init__(self, capacity: int, registry: MetricsRegistry) -> None:
-        if capacity < 2:
-            raise ValueError("estimate cache capacity must be at least 2")
-        self._capacity = capacity
-        with use_registry(registry):
-            self._policy = TinyLFUCache(capacity)
-        self._entries: dict[tuple[str, Hashable], tuple[int, float]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(
-        self, table: ServiceTable, items: Sequence[Hashable]
-    ) -> list[float]:
-        """Estimates for ``items``, served from cache where fresh.
-
-        Runs synchronously after the caller's read barrier: the applier
-        only mutates summaries between awaits, so the version captured
-        here cannot move before every item is answered.
-        """
-        version = table.enqueued_seq
-        name = table.spec.name
-        out: list[float] = []
-        for item in items:
-            key = (name, item)
-            resident = self._policy.request(key)
-            entry = self._entries.get(key) if resident else None
-            if entry is not None and entry[0] == version:
-                self.hits += 1
-                out.append(entry[1])
-                continue
-            self.misses += 1
-            value = float(table.summary.estimate(item))
-            if self._policy.contains(key):
-                self._entries[key] = (version, value)
-            out.append(value)
-        if len(self._entries) > 2 * self._capacity:
-            self._prune()
-        return out
-
-    def _prune(self) -> None:
-        policy = self._policy
-        self._entries = {
-            key: entry for key, entry in self._entries.items()
-            if policy.contains(key)
-        }
-
-    def drop_table(self, name: str) -> None:
-        """Purge a dropped table's entries (its sequence restarts at 0,
-        so stale values could otherwise masquerade as fresh)."""
-        self._entries = {
-            key: entry for key, entry in self._entries.items()
-            if key[0] != name
-        }
-
-    def stats(self) -> dict[str, Any]:
-        """Hit-ratio payload for the ``stats`` op."""
-        requests = self.hits + self.misses
-        return {
-            "capacity": self._capacity,
-            "entries": len(self._entries),
-            "resident": len(self._policy),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_ratio": (
-                round(self.hits / requests, 6) if requests else 0.0
-            ),
-        }
-
-
 class SketchServer:
     """A live sketch set behind the length-prefixed wire protocol.
 
@@ -213,10 +128,6 @@ class SketchServer:
             limits are passed explicitly (explicit limits win and
             re-pin the manifest — operational tuning is overridable,
             unlike sketch parameters).
-        estimate_cache: opt-in TinyLFU cache capacity for the
-            ``estimate`` path; entries invalidate on any ingest
-            touching their table, so answers stay bit-equal to the
-            uncached path.  ``None`` (the default) disables it.
     """
 
     def __init__(
@@ -231,7 +142,6 @@ class SketchServer:
         registry: MetricsRegistry | None = None,
         drain_timeout: float = 30.0,
         limits: ServiceLimits | None = None,
-        estimate_cache: int | None = None,
     ) -> None:
         self._registry = registry if registry is not None else MetricsRegistry()
         self._metrics = _ServerMetrics(self._registry)
@@ -265,10 +175,6 @@ class SketchServer:
         self._scheduler = (
             WeightedFairScheduler(self._limits.fair_quantum)
             if self._limits.fair_quantum is not None else None
-        )
-        self._estimate_cache = (
-            _EstimateCache(estimate_cache, self._registry)
-            if estimate_cache is not None else None
         )
         requested: dict[str, TableSpec] = {}
         for spec in specs:
@@ -802,8 +708,6 @@ class SketchServer:
             del self._tables[name]
             if self._scheduler is not None:
                 self._scheduler.forget(name)
-            if self._estimate_cache is not None:
-                self._estimate_cache.drop_table(name)
             if self._checkpoint_dir is not None:
                 loop = asyncio.get_running_loop()
                 await loop.run_in_executor(None, self._discard_table_files,
@@ -850,7 +754,7 @@ class SketchServer:
                     "binary batch has a record with a negative count; "
                     f"{table.spec.kind!r} tables are insert-only"
                 )
-        if frame.raw == (table.spec.kind == "topk"):
+        if frame.raw == table.spec.packed_keys:
             wanted = "packed keys" if frame.raw else "raw 64-bit key images"
             raise _BadRequest(
                 f"table {frame.table!r} is {table.spec.kind!r} and takes "
@@ -865,8 +769,11 @@ class SketchServer:
         return ok_response(request_id, queued=len(frame), seq=seq,
                            applied=frame.wait)
 
-    async def _op_estimate(self, message: dict[str, Any]) -> dict[str, Any]:
-        request_id = message.get("id")
+    async def _read_keys(
+        self, message: dict[str, Any]
+    ) -> tuple[ServiceTable, list[Hashable]]:
+        """A keyed query's table and decoded keys, once it has paid its
+        query quota and passed the table's read barrier."""
         table = self._require_table(message)
         keys = message.get("keys")
         if not isinstance(keys, list):
@@ -874,24 +781,23 @@ class SketchServer:
         items = [decode_wire_key(key) for key in keys]
         table.charge_query()
         await table.wait_applied()
-        if self._estimate_cache is not None:
-            estimates = self._estimate_cache.lookup(table, items)
+        return table, items
+
+    async def _op_estimate(self, message: dict[str, Any]) -> dict[str, Any]:
+        table, items = await self._read_keys(message)
+        summary = table.summary
+        estimates: list[float]
+        if isinstance(summary, VectorizedCountSketch):
+            # One batched read; per-key ``estimate`` is this on one key.
+            estimates = summary.estimate_batch(items).tolist()
         else:
-            estimates = [float(table.summary.estimate(item))
-                         for item in items]
-        return ok_response(request_id, estimates=estimates)
+            estimates = [float(summary.estimate(item)) for item in items]
+        return ok_response(message.get("id"), estimates=estimates)
 
     async def _op_estimate_rows(
         self, message: dict[str, Any]
     ) -> dict[str, Any]:
-        request_id = message.get("id")
-        table = self._require_table(message)
-        keys = message.get("keys")
-        if not isinstance(keys, list):
-            raise _BadRequest("'keys' must be a list of wire-encoded keys")
-        items = [decode_wire_key(key) for key in keys]
-        table.charge_query()
-        await table.wait_applied()
+        table, items = await self._read_keys(message)
         summary = table.summary
         sketch = summary.sketch if isinstance(summary, TopKTracker) else summary
         rows: list[list[int]]
@@ -906,7 +812,7 @@ class SketchServer:
                 "'estimate_rows' requires a linear sketch table "
                 "(sketch, vectorized, or topk)"
             )
-        return ok_response(request_id, rows=rows)
+        return ok_response(message.get("id"), rows=rows)
 
     async def _op_topk(self, message: dict[str, Any]) -> dict[str, Any]:
         request_id = message.get("id")
@@ -951,8 +857,6 @@ class SketchServer:
         }
         if self._limits.enabled:
             server["limits"] = self._limits.to_dict()
-        if self._estimate_cache is not None:
-            server["estimate_cache"] = self._estimate_cache.stats()
         return ok_response(request_id, server=server, tables=tables)
 
     def _op_metrics(self, message: dict[str, Any]) -> dict[str, Any]:

@@ -143,6 +143,13 @@ class TableSpec:
         admission and window rotation are insert-ordered."""
         return self.kind in ("sketch", "vectorized")
 
+    @property
+    def packed_keys(self) -> bool:
+        """Whether ingest ships lossless packed keys rather than raw u64
+        key images: a ``topk`` table stores original items, the other
+        kinds only hash them."""
+        return self.kind == "topk"
+
     def to_dict(self) -> dict[str, Any]:
         """JSON-representable form (inverse of :meth:`from_dict`)."""
         return {

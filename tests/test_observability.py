@@ -4,7 +4,9 @@ bench plumbing."""
 
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,6 +78,32 @@ class TestPrimitives:
         assert len(histogram._reservoir) == 32
         # Quantiles remain within the observed range.
         assert 0.0 <= histogram.quantile(0.5) <= 9_999.0
+
+    def test_histogram_snapshot_independent_of_hash_seed(self):
+        # Past the 1024-value reservoir, quantiles depend on the
+        # reservoir RNG, whose seed must not follow PYTHONHASHSEED.
+        script = (
+            "import json\n"
+            "from repro.observability import MetricsRegistry\n"
+            "registry = MetricsRegistry()\n"
+            "histogram = registry.histogram('service_request_seconds')\n"
+            "for value in range(5000):\n"
+            "    histogram.observe(float(value))\n"
+            "print(json.dumps(registry.snapshot(), sort_keys=True))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        snapshots = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": src + (os.pathsep + path if path else "")}
+            snapshots.append(subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True,
+            ).stdout)
+        assert snapshots[0] == snapshots[1]
+        assert json.loads(snapshots[0])["histograms"][
+            "service_request_seconds"]["count"] == 5000
 
     def test_histogram_empty_quantile_nan(self):
         assert math.isnan(Histogram("x").quantile(0.5))

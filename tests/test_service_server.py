@@ -106,6 +106,30 @@ class TestMidStreamExactness:
 
         run(go())
 
+    def test_mixed_key_types_batch_estimate_on_vectorized_table(self):
+        # A vectorized table answers each request with one
+        # estimate_batch; every key type must land where the offline
+        # per-key estimate puts it.
+        async def go():
+            spec = spec_for("vectorized")
+            server = SketchServer([spec])
+            client = AsyncServiceClient.in_process(server)
+            offline = spec.build()
+            keys = ["text", 42, b"\x00\xff", ("flow", 8080), True]
+            await client.ingest(spec.name, [(k, 2) for k in keys])
+            for key in keys:
+                offline.update(key, 2)
+            mixed = [*keys, 1, -7, "absent"]
+            # All-int requests take encode_keys' integer fast path.
+            ints = [42, 1, -7, 2**63, 2**70]
+            for probes in (mixed, ints):
+                assert await client.estimate(spec.name, probes) == [
+                    float(offline.estimate(k)) for k in probes
+                ]
+            await server.stop()
+
+        run(go())
+
 
 class TestRequestValidation:
     def test_unknown_op_is_bad_request(self):

@@ -2,8 +2,10 @@
 
 This is the CI ``service-smoke`` target: one real server process, the
 stock client CLI against it — create a table, stream a file in, read
-top-k and estimates back, scrape metrics, stop gracefully.  Fast and
-self-contained; everything else about the service has deeper tests.
+top-k and estimates back (a ``vectorized`` table's batched estimates
+checked against an offline sketch), scrape metrics, stop gracefully.
+Fast and self-contained; everything else about the service has deeper
+tests.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core.vectorized import VectorizedCountSketch
+from repro.experiments.report import format_table
 from repro.streams.io import write_stream_text
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -36,6 +40,9 @@ def live_server():
             sys.executable, "-m", "repro.cli", "serve",
             "--port", "0",
             "--table", "queries:topk:k=5,depth=4,width=256,seed=5",
+            # Narrow on purpose: colliding keys make every estimate
+            # depend on the exact hashes.
+            "--table", "vecs:vectorized:depth=3,width=4,seed=5",
         ],
         cwd=REPO_ROOT,
         env=env,
@@ -144,6 +151,34 @@ class TestServiceSmoke:
         assert query(port, "estimate", "--table", "flows",
                      "deep learning", "absent") == 0
         assert "deep learning" in capsys.readouterr().out
+
+        assert query(port, "shutdown") == 0
+        capsys.readouterr()
+        out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+        assert "graceful stop complete" in out
+
+    def test_vectorized_estimates_match_offline(self, live_server, tmp_path,
+                                                capsys):
+        proc, port = live_server
+        stream_file = tmp_path / "stream.txt"
+        write_stream_text(stream_file, STREAM)
+
+        assert query(port, "ingest",
+                     "--table", "vecs", "--input", str(stream_file)) == 0
+        assert f"ingested {len(STREAM)} records" in capsys.readouterr().out
+
+        offline = VectorizedCountSketch(3, 4, seed=5)
+        offline.update_batch(STREAM)
+        probes = ["deep learning", "sketch", "stream", "rare query",
+                  "absent"]
+        assert query(port, "estimate", "--table", "vecs", *probes) == 0
+        expected = format_table(
+            ["item", "estimate"],
+            [[item, offline.estimate(item)] for item in probes],
+            title="live estimates from table 'vecs'",
+        )
+        assert expected in capsys.readouterr().out
 
         assert query(port, "shutdown") == 0
         capsys.readouterr()
