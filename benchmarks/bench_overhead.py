@@ -123,8 +123,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="timing repeats, best kept (default 3)")
     parser.add_argument("--smoke", action="store_true",
                         help="CI mode: small n, fewer repeats")
-    parser.add_argument("--json", dest="json_path", default=str(OUT_PATH),
-                        help=f"BENCH json output path (default {OUT_PATH})")
+    parser.add_argument("--json", dest="json_path",
+                        help=f"BENCH json output path (default {OUT_PATH}; "
+                             "a --smoke run writes only to a given path)")
     parser.add_argument("--max-overhead-pct", type=float, default=30.0,
                         help="fail when enabled-registry overhead exceeds "
                              "this percentage (default 30)")
@@ -135,10 +136,13 @@ def main(argv: list[str] | None = None) -> int:
     record = run(n, repeats)
     print(format_report(record))
 
-    path = Path(args.json_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+    # A smoke run must not overwrite the committed full-size figures.
+    json_path = args.json_path or (None if args.smoke else OUT_PATH)
+    if json_path is not None:
+        path = Path(json_path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {path}")
 
     worst = max(record["sketch_overhead_pct"], record["tracker_overhead_pct"])
     if worst > args.max_overhead_pct:

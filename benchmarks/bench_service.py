@@ -334,8 +334,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="fail (exit 1) unless binary TCP ingest at "
                              "the largest batch reaches 50%% of the "
                              "offline ceiling")
-    parser.add_argument("--json", dest="json_path", default=str(OUT_PATH),
-                        help=f"BENCH json output path (default {OUT_PATH})")
+    parser.add_argument("--json", dest="json_path",
+                        help=f"BENCH json output path (default {OUT_PATH}; "
+                             "a --smoke run writes only to a given path)")
     args = parser.parse_args(argv)
 
     n = min(args.n, 10_000) if args.smoke else args.n
@@ -347,10 +348,13 @@ def main(argv: list[str] | None = None) -> int:
     record = run(n, batches, repeats, queries, concurrency)
     print(format_report(record))
 
-    path = Path(args.json_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+    # A smoke run must not overwrite the committed full-size figures.
+    json_path = args.json_path or (None if args.smoke else OUT_PATH)
+    if json_path is not None:
+        path = Path(json_path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {path}")
     if args.gate:
         failure = check_gate(record)
         if failure is not None:

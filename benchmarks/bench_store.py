@@ -201,8 +201,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="timing repeats, best kept (default 3)")
     parser.add_argument("--smoke", action="store_true",
                         help="quick mode: small n, one width, fewer repeats")
-    parser.add_argument("--json", dest="json_path", default=str(OUT_PATH),
-                        help=f"BENCH json output path (default {OUT_PATH})")
+    parser.add_argument("--json", dest="json_path",
+                        help=f"BENCH json output path (default {OUT_PATH}; "
+                             "a --smoke run writes only to a given path)")
     args = parser.parse_args(argv)
 
     n = min(args.n, 20_000) if args.smoke else args.n
@@ -212,10 +213,13 @@ def main(argv: list[str] | None = None) -> int:
     record = run(n, widths, repeats)
     print(format_report(record))
 
-    path = Path(args.json_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+    # A smoke run must not overwrite the committed full-size figures.
+    json_path = args.json_path or (None if args.smoke else OUT_PATH)
+    if json_path is not None:
+        path = Path(json_path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {path}")
     return 0
 
 

@@ -502,11 +502,10 @@ def _cmd_store_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_store_merge(args: argparse.Namespace) -> int:
     from repro.core.sparse import SparseCountSketch
-    from repro.core.vectorized import VectorizedCountSketch
 
     if len(args.inputs) < 2:
         return _usage_fail("merge needs at least two input snapshots")
-    mergeable = (CountSketch, SparseCountSketch, VectorizedCountSketch)
+    mergeable = (CountSketch, SparseCountSketch)
     merged = load_snapshot(args.inputs[0])
     if not isinstance(merged, mergeable):
         return _fail(

@@ -82,9 +82,10 @@ def _median_rows(rows: Sequence[Sequence[int]]) -> list[float]:
     integer readouts.  ``statistics.median`` over per-row float casts is
     exactly :meth:`CountSketch.estimate`'s arithmetic (``float(a·s) ==
     float(a)·s`` for ``s = ±1``), and it is also bit-equal to the
-    float64 ``np.median`` reduction of
-    :meth:`VectorizedCountSketch.estimate_batch`: both return the middle
-    value, or half the sum of the two middle values, of the same floats.
+    float64 ``np.median`` reduction of :meth:`CountSketch.estimate_batch`
+    that a single server answers with, whatever the sketch's hash family:
+    both return the middle value, or half the sum of the two middle
+    values, of the same floats.
     """
     return [
         statistics.median([float(value) for value in item_rows])

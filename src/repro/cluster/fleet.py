@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.core.countsketch import CountSketch
-from repro.core.vectorized import VectorizedCountSketch
 from repro.service.tables import TableSpec
 from repro.store.checkpoint import (
     CheckpointMismatchError,
@@ -252,9 +251,6 @@ def merge_shard_summaries(
             )
         if isinstance(merged, CountSketch) and isinstance(
                 summary, CountSketch):
-            merged.merge(summary)
-        elif isinstance(merged, VectorizedCountSketch) and isinstance(
-                summary, VectorizedCountSketch):
             merged.merge(summary)
     return merged
 

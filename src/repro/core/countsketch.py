@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+from collections import Counter
 from fractions import Fraction
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from typing import Any
@@ -37,10 +38,11 @@ import numpy as np
 from repro.hashing.bucket import BucketHash, BucketHashFamily
 from repro.hashing.encode import encode_key
 from repro.hashing.family import HashFunction
-from repro.hashing.mersenne import KWiseFamily, PolynomialHash
+from repro.hashing.mersenne import KWiseFamily, PolynomialHash, PolynomialRowHashes
 from repro.hashing.sign import SignHash, SignHashFamily
+from repro.hashing.vectorized import VectorizedRowHashes, encode_keys
 from repro.core.sketch_base import coerce_counter_array
-from repro.observability.registry import MetricsRegistry, get_registry
+from repro.observability.registry import MetricsRegistry, NullRegistry, get_registry
 
 #: Maximum number of items kept in the per-sketch hash-position cache.  The
 #: cache trades memory for speed on streams with repeated items (every
@@ -53,6 +55,19 @@ _POSITION_CACHE_LIMIT = 1 << 20
 #: Fraction of the cache (as a right-shift) evicted per over-limit event.
 _POSITION_CACHE_EVICT_SHIFT = 3
 
+#: Keys hashed per step of a batch path.  Every step holds a few
+#: ``(2·depth, slice)`` 64-bit temporaries, so slicing bounds a large
+#: batch's memory by the slice, not by the batch.
+_BATCH_SLICE = 1 << 13
+
+_NO_METRIC = NullRegistry().counter("")
+
+#: A hash family's rows: each evaluates one key in Python ints
+#: (``positions``) or a uint64 key array in NumPy (``positions_array``)
+#: to the same bucket indices and signs, and compares equal only to rows
+#: of identical functions, the §3.2 condition for adding sketches.
+RowHashes = PolynomialRowHashes | VectorizedRowHashes
+
 
 class _SketchMetrics:
     """Metric handles captured once per sketch when collection is on.
@@ -60,29 +75,35 @@ class _SketchMetrics:
     Sketches built under the default :class:`~repro.observability.
     NullRegistry` carry ``_metrics = None`` instead, so the disabled-path
     cost is one attribute load and an ``is not None`` test per event.
+    ``updates`` and ``estimates`` count items on every path; a class
+    whose metric names leave a handle out counts it nowhere.
     """
 
     __slots__ = (
-        "updates", "estimates", "cache_hits", "cache_misses",
-        "cache_evictions",
+        "updates", "update_batches", "estimates", "cache_hits",
+        "cache_misses", "cache_evictions",
     )
 
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.updates = registry.counter("countsketch_updates_total")
-        self.estimates = registry.counter("countsketch_estimates_total")
-        self.cache_hits = registry.counter(
-            "countsketch_position_cache_hits_total"
-        )
-        self.cache_misses = registry.counter(
-            "countsketch_position_cache_misses_total"
-        )
-        self.cache_evictions = registry.counter(
-            "countsketch_position_cache_evictions_total"
+    def __init__(self, registry: MetricsRegistry,
+                 names: tuple[str | None, ...]) -> None:
+        (self.updates, self.update_batches, self.estimates, self.cache_hits,
+         self.cache_misses, self.cache_evictions) = (
+            _NO_METRIC if name is None else registry.counter(name)
+            for name in names
         )
 
 
 class CountSketch:
     """A Count Sketch with ``depth`` rows of ``width`` counters each.
+
+    Every path comes twice: per item (``update``, ``estimate``,
+    ``row_values``), with a position cache for repeated items, and per
+    batch (``update_batch``, ``estimate_batch``, ``row_values_batch``),
+    hashing a whole key array in NumPy.  Both give identical counters
+    and answers.  The hash family is the one part that varies: this
+    class uses the paper's pairwise polynomial family;
+    :class:`~repro.core.vectorized.VectorizedCountSketch` selects
+    multiply-shift.
 
     Args:
         depth: number of hash-table rows ``t``.  Use an odd value so the
@@ -102,12 +123,22 @@ class CountSketch:
         "_depth",
         "_width",
         "_seed",
-        "_bucket_hashes",
-        "_sign_hashes",
+        "_rows",
         "_counters",
         "_total_weight",
         "_position_cache",
         "_metrics",
+    )
+
+    #: Counter names for (updates, update batches, estimates, position
+    #: cache hits, misses, evictions); ``None`` leaves one uncounted.
+    _METRIC_NAMES: tuple[str | None, ...] = (
+        "countsketch_updates_total",
+        None,
+        "countsketch_estimates_total",
+        "countsketch_position_cache_hits_total",
+        "countsketch_position_cache_misses_total",
+        "countsketch_position_cache_evictions_total",
     )
 
     def __init__(
@@ -122,9 +153,6 @@ class CountSketch:
             raise ValueError("depth must be at least 1")
         if width < 1:
             raise ValueError("width must be at least 1")
-        self._depth = depth
-        self._width = width
-        self._seed = seed
 
         if bucket_hashes is None:
             bucket_family = BucketHashFamily(
@@ -153,14 +181,24 @@ class CountSketch:
                 raise ValueError(
                     f"expected {depth} sign hashes, got {len(sign_hashes)}"
                 )
+        self._start(PolynomialRowHashes(bucket_hashes, sign_hashes, width),
+                    seed)
 
-        self._bucket_hashes = tuple(bucket_hashes)
-        self._sign_hashes = tuple(sign_hashes)
-        self._counters = np.zeros((depth, width), dtype=np.int64)
+    def _start(self, rows: RowHashes, seed: int) -> None:
+        """Make an empty sketch over ``rows``: the one initializer of
+        every constructor and clone."""
+        self._depth = rows.depth
+        self._width = rows.width
+        self._seed = seed
+        self._rows = rows
+        self._counters = np.zeros((self._depth, self._width), dtype=np.int64)
         self._total_weight = 0
         self._position_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         registry = get_registry()
-        self._metrics = _SketchMetrics(registry) if registry.enabled else None
+        self._metrics = (
+            _SketchMetrics(registry, self._METRIC_NAMES)
+            if registry.enabled else None
+        )
 
     # -- basic properties ---------------------------------------------------
 
@@ -211,8 +249,7 @@ class CountSketch:
             return cached
         if metrics is not None:
             metrics.cache_misses.inc()
-        buckets = tuple(h(key) for h in self._bucket_hashes)
-        signs = tuple(s(key) for s in self._sign_hashes)
+        positions = self._rows.positions(key)
         cache = self._position_cache
         if len(cache) >= _POSITION_CACHE_LIMIT:
             evict = max(1, _POSITION_CACHE_LIMIT >> _POSITION_CACHE_EVICT_SHIFT)
@@ -220,8 +257,8 @@ class CountSketch:
                 del cache[stale]
             if metrics is not None:
                 metrics.cache_evictions.inc(evict)
-        cache[key] = (buckets, signs)
-        return buckets, signs
+        cache[key] = positions
+        return positions
 
     # -- updates ------------------------------------------------------------
 
@@ -237,23 +274,62 @@ class CountSketch:
         for row in range(self._depth):
             counters[row, buckets[row]] += signs[row] * count
         self._total_weight += count
-        if self._metrics is not None:
-            self._metrics.updates.inc()
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.updates.inc()
+            metrics.update_batches.inc()
+
+    def update_batch(
+        self,
+        items: Iterable[Hashable] | np.ndarray,
+        weights: Sequence[int] | np.ndarray | None = None,
+    ) -> None:
+        """Apply weighted updates for a whole batch of items at once.
+
+        The counters and ``total_weight`` equal those of per-item
+        :meth:`update` calls in any order (linearity).
+
+        Args:
+            items: iterable of stream items (ints take the fast path) or a
+                pre-encoded uint64 key array.
+            weights: optional per-item weights (default 1 each); negative
+                weights delete, preserving linearity.
+        """
+        keys = encode_keys(items)
+        if keys.size == 0:
+            return
+        weights_arr = None if weights is None else np.asarray(weights, dtype=np.int64)
+        if weights_arr is not None and weights_arr.shape != keys.shape:
+            raise ValueError("weights must match items in length")
+        total = keys.size if weights_arr is None else int(weights_arr.sum())
+        flat = self._counters.reshape(-1)  # a view: counters are C-ordered
+        row_starts = np.arange(0, flat.size, self._width)[:, None]
+        for start in range(0, keys.size, _BATCH_SLICE):
+            part = slice(start, start + _BATCH_SLICE)
+            buckets, signs = self._rows.positions_array(keys[part])
+            if weights_arr is not None:
+                signs = signs * weights_arr[part]
+            np.add.at(flat, (buckets + row_starts).ravel(), signs.ravel())
+        self._total_weight += total
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.updates.inc(int(keys.size))
+            metrics.update_batches.inc()
 
     def update_counts(self, counts: Mapping[Hashable, int]) -> None:
-        """Apply a batch of weighted updates, one per distinct item.
+        """Apply a pre-aggregated count table as one batch.
 
-        Feeding a pre-aggregated ``collections.Counter`` of a stream produces
-        a sketch identical to item-at-a-time updates (linearity) at a
-        fraction of the cost — the idiom the experiment harness uses.
+        Feeding a ``collections.Counter`` of a stream produces a sketch
+        identical to item-at-a-time updates (linearity) at a fraction of
+        the cost — the idiom the experiment harness uses.
         """
-        for item, count in counts.items():
-            self.update(item, count)
+        self.update_batch(list(counts), np.asarray(list(counts.values()),
+                                                   dtype=np.int64))
 
     def extend(self, stream: Iterable[Hashable]) -> None:
-        """Apply ``ADD`` for each item of ``stream`` in order."""
-        for item in stream:
-            self.update(item)
+        """Apply ``ADD`` for each item of ``stream`` (aggregated, then one
+        batch: identical counters)."""
+        self.update_counts(Counter(stream))
 
     # -- queries ------------------------------------------------------------
 
@@ -306,6 +382,39 @@ class CountSketch:
             for row in range(self._depth)
         ]
 
+    def row_values_batch(
+        self, items: Iterable[Hashable] | np.ndarray
+    ) -> np.ndarray:
+        """Per-row signed counter readouts as an ``(depth, n)`` int64 array.
+
+        Column ``j`` holds ``counters[i][h_i(q_j)] · s_i(q_j)`` for each
+        row ``i``: column ``j`` equals ``row_values(q_j)``.  By §3.2
+        linearity the readouts of sharded sketches sum, elementwise, to
+        the readouts of their merge, which is what makes distributed
+        scatter-gather estimates bit-equal to a single merged sketch.
+        """
+        keys = encode_keys(items)
+        rows = np.empty((self._depth, keys.size), dtype=np.int64)
+        for start in range(0, keys.size, _BATCH_SLICE):
+            part = slice(start, start + _BATCH_SLICE)
+            buckets, signs = self._rows.positions_array(keys[part])
+            rows[:, part] = np.take_along_axis(self._counters, buckets,
+                                               axis=1) * signs
+        return rows
+
+    def estimate_batch(
+        self, items: Iterable[Hashable] | np.ndarray
+    ) -> np.ndarray:
+        """Median-of-rows estimates for a whole batch of items.
+
+        Each equals :meth:`estimate` of its item, except that a zero is
+        always ``0.0`` (the per-item path can return ``-0.0``).
+        """
+        rows = self.row_values_batch(items)
+        if self._metrics is not None:
+            self._metrics.estimates.inc(rows.shape[1])
+        return np.median(rows.astype(np.float64), axis=0)
+
     def estimate_mean(self, item: Hashable) -> float:
         """Estimate using the *mean* combiner §3.1 warns against.
 
@@ -342,13 +451,13 @@ class CountSketch:
     # -- sketch arithmetic (§3.2: we can add and subtract them) -----------
 
     def compatible_with(self, other: CountSketch) -> bool:
-        """True if the sketches share shape *and* hash functions."""
+        """True if the sketches share shape *and* hash functions (which
+        sketches of different hash families never do)."""
         return (
             isinstance(other, CountSketch)
             and self._depth == other._depth
             and self._width == other._width
-            and self._bucket_hashes == other._bucket_hashes
-            and self._sign_hashes == other._sign_hashes
+            and self._rows == other._rows
         )
 
     def _require_compatible(self, other: CountSketch) -> None:
@@ -357,18 +466,13 @@ class CountSketch:
         if not self.compatible_with(other):
             raise ValueError(
                 "sketches are not compatible: arithmetic requires identical "
-                "shape and shared hash functions (build both with the same "
-                "(depth, width, seed))"
+                "shape and shared hash functions (build both as the same "
+                "class with the same (depth, width, seed))"
             )
 
     def _with_counters(self, counters: np.ndarray, total: int) -> CountSketch:
-        clone = CountSketch(
-            self._depth,
-            self._width,
-            seed=self._seed,
-            bucket_hashes=self._bucket_hashes,
-            sign_hashes=self._sign_hashes,
-        )
+        clone = object.__new__(type(self))
+        clone._start(self._rows, self._seed)
         clone._counters = counters
         clone._total_weight = total
         return clone
@@ -486,7 +590,7 @@ class CountSketch:
         )
 
     def __hash__(self) -> int:  # pragma: no cover - mutable, not hashable
-        raise TypeError("CountSketch is mutable and unhashable")
+        raise TypeError(f"{type(self).__name__} is mutable and unhashable")
 
     # -- introspection / serialization ---------------------------------------
 
@@ -497,10 +601,11 @@ class CountSketch:
     def state_dict(self) -> dict[str, Any]:
         """Serialize to a plain dict; the counters travel as an ndarray.
 
-        Only sketches built with the default polynomial families (i.e.
-        without explicit ``bucket_hashes``/``sign_hashes``) can be
-        serialized this way; the hash functions are reconstructed from the
-        recorded coefficients.
+        Besides the dimensions and seed, the dict carries what the hash
+        family needs to rebuild its functions: the per-row polynomial
+        coefficients here (so sketches built with explicit
+        ``bucket_hashes``/``sign_hashes`` of another family cannot be
+        serialized this way), nothing for multiply-shift.
 
         The ``counters`` value is an independent int64 ``np.ndarray`` copy
         (not nested Python lists — boxing ``depth × width`` ints costs
@@ -509,30 +614,11 @@ class CountSketch:
         should use :mod:`repro.store`, which packs the array as raw
         little-endian bytes behind a checksummed header.
         """
-        bucket_coeffs = []
-        sign_coeffs = []
-        for h in self._bucket_hashes:
-            if not isinstance(h, BucketHash) or not isinstance(
-                h.base, PolynomialHash
-            ):
-                raise TypeError(
-                    "state_dict supports only default polynomial hashing"
-                )
-            bucket_coeffs.append(list(h.base.coefficients))
-        for s in self._sign_hashes:
-            if not isinstance(s, SignHash) or not isinstance(
-                s.base, PolynomialHash
-            ):
-                raise TypeError(
-                    "state_dict supports only default polynomial hashing"
-                )
-            sign_coeffs.append(list(s.base.coefficients))
         return {
             "depth": self._depth,
             "width": self._width,
             "seed": self._seed,
-            "bucket_coefficients": bucket_coeffs,
-            "sign_coefficients": sign_coeffs,
+            **self._rows.state(),
             "total_weight": self._total_weight,
             "counters": self._counters.copy(),
         }
@@ -574,12 +660,17 @@ class CountSketch:
             bucket_hashes=bucket_hashes,
             sign_hashes=sign_hashes,
         )
-        sketch._counters = coerce_counter_array(state["counters"], depth, width)
-        sketch._total_weight = state["total_weight"]
+        sketch._load_counts(state)
         return sketch
+
+    def _load_counts(self, state: dict[str, Any]) -> None:
+        self._counters = coerce_counter_array(
+            state["counters"], self._depth, self._width
+        )
+        self._total_weight = state["total_weight"]
 
     def __repr__(self) -> str:
         return (
-            f"CountSketch(depth={self._depth}, width={self._width}, "
+            f"{type(self).__name__}(depth={self._depth}, width={self._width}, "
             f"seed={self._seed}, total_weight={self._total_weight})"
         )

@@ -87,7 +87,7 @@ def coerce_counter_array(
                 "invariant rejects float/non-numeric counter data"
             )
         array = candidate
-    coerced = array.astype(np.int64, casting="unsafe")
+    coerced = array.astype(np.int64, order="C", casting="unsafe")
     if not np.array_equal(coerced.astype(array.dtype), array):
         raise ValueError("counter values do not fit in int64")
     if coerced.shape != (depth, width):

@@ -23,7 +23,6 @@ from typing import Any
 import numpy as np
 
 from repro.core.countsketch import CountSketch
-from repro.core.sketch_base import coerce_counter_array
 from repro.observability.registry import get_registry
 
 
@@ -146,10 +145,7 @@ class JumpingWindowSketch:
 
     def _restore_sub_sketch(self, state: dict[str, Any]) -> CountSketch:
         sketch = CountSketch(self._depth, self._width, seed=self._seed)
-        sketch._counters = coerce_counter_array(
-            state["counters"], self._depth, self._width
-        )
-        sketch._total_weight = state["total_weight"]
+        sketch._load_counts(state)
         return sketch
 
     def state_dict(self) -> dict[str, Any]:

@@ -15,7 +15,9 @@ Two executors:
   processes, shard states shipped back and merged with backpressure so at
   most ``2·n_workers`` chunks are in flight).
 * ``"serial"`` — the same chunk/shard/merge pipeline run in-process; used
-  for ``n_workers=1`` and automatically on platforms without ``fork``.
+  for ``n_workers=1``, for the ``vectorized`` backend (whose NumPy shard
+  pass costs less than a fork round trip), and automatically on
+  platforms without ``fork``.
 
 Within a shard, each worker pre-aggregates its chunk into a count table
 and applies weighted updates — identical counters by linearity, at a
@@ -52,24 +54,24 @@ from repro.observability.registry import (
 from repro.parallel.chunks import DEFAULT_CHUNK_SIZE, iter_chunks
 from repro.store.checkpoint import ShardCheckpointStore
 
-#: Sketch backends the engine can shard.
-BACKENDS = ("dense", "sparse", "vectorized")
+#: Any shardable sketch (``CountSketch`` covers the vectorized backend).
+_AnySketch = CountSketch | SparseCountSketch
 
-#: Any shardable sketch (all three satisfy the same update/merge protocol).
-_AnySketch = CountSketch | SparseCountSketch | VectorizedCountSketch
+_BACKEND_TYPES: dict[str, type[_AnySketch]] = {
+    "dense": CountSketch,
+    "sparse": SparseCountSketch,
+    "vectorized": VectorizedCountSketch,
+}
+
+#: Sketch backends the engine can shard.
+BACKENDS = tuple(_BACKEND_TYPES)
 
 
 def _make_sketch(backend: str, depth: int, width: int, seed: int) -> _AnySketch:
     """Build an empty shard sketch for ``backend``."""
-    if backend == "dense":
-        return CountSketch(depth, width, seed=seed)
-    if backend == "sparse":
-        return SparseCountSketch(depth, width, seed=seed)
-    if backend == "vectorized":
-        return VectorizedCountSketch(depth, width, seed=seed)
-    raise ValueError(
-        f"unknown backend {backend!r}; expected one of {BACKENDS}"
-    )
+    if backend not in _BACKEND_TYPES:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    return _BACKEND_TYPES[backend](depth, width, seed=seed)
 
 
 def resolve_executor(n_workers: int) -> str:
@@ -238,9 +240,7 @@ class IngestSummary:
 # -- the engine -------------------------------------------------------------
 
 
-def _absorb_state(
-    merged: _AnySketch, result: _ShardResult, backend: str
-) -> _AnySketch:
+def _absorb_state(merged: _AnySketch, result: _ShardResult) -> _AnySketch:
     """Rehydrate a shard from its state and ``merge`` it (§3.2).
 
     The raw-state writes below rebuild a worker's shard inside an empty
@@ -249,17 +249,16 @@ def _absorb_state(
     call re-checks it.  Returns the rehydrated shard so the checkpoint
     layer can persist it after the merge.
     """
-    if backend == "sparse":
-        shard: _AnySketch = SparseCountSketch(
-            merged.depth, merged.width, seed=merged.seed
-        )
-        shard._rows = list(result.state)  # repro: noqa-RS002
-        shard._total_weight = result.total_weight  # repro: noqa-RS002
-    else:
-        counters = np.asarray(result.state, dtype=np.int64)
-        shard = merged._with_counters(  # repro: noqa-RS004
-            counters, result.total_weight
-        )
+    if isinstance(merged, SparseCountSketch):
+        sparse = SparseCountSketch(merged.depth, merged.width, seed=merged.seed)
+        sparse._rows = list(result.state)  # repro: noqa-RS002
+        sparse._total_weight = result.total_weight  # repro: noqa-RS002
+        merged.merge(sparse)
+        return sparse
+    counters = np.asarray(result.state, dtype=np.int64)
+    shard = merged._with_counters(  # repro: noqa-RS004
+        counters, result.total_weight
+    )
     merged.merge(shard)
     return shard
 
@@ -281,7 +280,13 @@ def _ingest(
         raise ValueError("n_workers must be at least 1")
     effective_backend = backend if candidates is None else "dense"
     merged = _make_sketch(effective_backend, depth, width, seed)
-    executor = resolve_executor(n_workers)
+    # A vectorized shard is one NumPy pass, cheaper than shipping its
+    # chunk to a fork worker and its counters back: 2 workers ran
+    # 0.58-0.68x one on 2 vCPUs.  Top-k and the other backends gain.
+    executor = (
+        "serial" if effective_backend == "vectorized"
+        else resolve_executor(n_workers)
+    )
     shard_stats: list[ShardStats] = []
     candidate_items: dict[Hashable, None] = {}  # insertion-ordered set
     merge_seconds = 0.0
@@ -325,9 +330,7 @@ def _ingest(
     def absorb(result: _ShardResult) -> None:
         nonlocal merge_seconds, total_items
         merge_start = time.perf_counter()
-        shard = _absorb_state(
-            merged, result, backend if candidates is None else "dense"
-        )
+        shard = _absorb_state(merged, result)
         merge_elapsed = time.perf_counter() - merge_start
         if store is not None:
             store.save_shard(
@@ -443,8 +446,8 @@ def parallel_sketch(
             merge exact; merging shards from different seeds is refused
             by the sketches' own compatibility checks.
         backend: ``"dense"``, ``"sparse"``, or ``"vectorized"``.
-        n_workers: worker processes; 1 (or a fork-less platform) runs the
-            identical pipeline serially.
+        n_workers: worker processes; 1 (or a fork-less platform, or the
+            ``vectorized`` backend) runs the identical pipeline serially.
         chunk_size: items per shard chunk.
         checkpoint_dir: when set, every absorbed shard is persisted there
             (atomic ``.rcs`` snapshots via :mod:`repro.store`); rerunning

@@ -48,7 +48,6 @@ from repro.service.protocol import (
 )
 from repro.core.countsketch import CountSketch
 from repro.core.topk import TopKTracker
-from repro.core.vectorized import VectorizedCountSketch
 from repro.service.limits import (
     ServiceLimits,
     TableQuotaExceededError,
@@ -787,7 +786,7 @@ class SketchServer:
         table, items = await self._read_keys(message)
         summary = table.summary
         estimates: list[float]
-        if isinstance(summary, VectorizedCountSketch):
+        if isinstance(summary, CountSketch):
             # One batched read; per-key ``estimate`` is this on one key.
             estimates = summary.estimate_batch(items).tolist()
         else:
@@ -800,18 +799,13 @@ class SketchServer:
         table, items = await self._read_keys(message)
         summary = table.summary
         sketch = summary.sketch if isinstance(summary, TopKTracker) else summary
-        rows: list[list[int]]
-        if isinstance(sketch, VectorizedCountSketch):
-            rows = [[int(v) for v in column]
-                    for column in sketch.row_values_batch(items).T]
-        elif isinstance(sketch, CountSketch):
-            rows = [sketch.row_values(item) for item in items]
-        else:
+        if not isinstance(sketch, CountSketch):
             raise _BadRequest(
                 f"table {table.spec.name!r} is {table.spec.kind!r}; "
                 "'estimate_rows' requires a linear sketch table "
                 "(sketch, vectorized, or topk)"
             )
+        rows = sketch.row_values_batch(items).T.tolist()
         return ok_response(message.get("id"), rows=rows)
 
     async def _op_topk(self, message: dict[str, Any]) -> dict[str, Any]:

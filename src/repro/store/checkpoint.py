@@ -62,7 +62,7 @@ def apply_update_batch(
 ) -> None:
     """Apply parallel record lists ``(items[i], counts[i])`` in stream order.
 
-    Summaries exposing a vectorized ``update_batch`` (the NumPy backend)
+    Summaries exposing ``update_batch`` (every linear Count Sketch)
     absorb the whole batch in one call; everything else gets an in-order
     scalar loop, preserving order-sensitive semantics (top-k heap
     admission, jumping-window rotation).  Either way the result is

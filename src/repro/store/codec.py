@@ -22,6 +22,7 @@ without deserializing the summary via :func:`inspect`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
@@ -55,14 +56,9 @@ __all__ = [
     "save",
 ]
 
-#: The union of summary types the codec understands.
-Snapshotable = (
-    CountSketch
-    | SparseCountSketch
-    | VectorizedCountSketch
-    | TopKTracker
-    | JumpingWindowSketch
-)
+#: The union of summary types the codec understands (``CountSketch``
+#: covers its multiply-shift subclass, ``VectorizedCountSketch``).
+Snapshotable = CountSketch | SparseCountSketch | TopKTracker | JumpingWindowSketch
 
 _INT64 = np.dtype("<i8")
 
@@ -112,74 +108,29 @@ def _require_fields(header: dict[str, Any], *names: str) -> None:
 
 # -- per-type encoders --------------------------------------------------------
 
-def _encode_dense(sketch: CountSketch) -> tuple[int, dict[str, Any], bytes]:
-    state = sketch.state_dict()
-    header = {
-        "depth": state["depth"],
-        "width": state["width"],
-        "seed": state["seed"],
-        "total_weight": state["total_weight"],
-        "bucket_coefficients": state["bucket_coefficients"],
-        "sign_coefficients": state["sign_coefficients"],
-    }
-    return TYPE_CODES["dense"], header, _counters_payload(state["counters"])
+def _encode_linear(sketch: CountSketch) -> tuple[int, dict[str, Any], bytes]:
+    """Both Count Sketch families: the header is the state minus the
+    counters, which is all the dimensions, seed, weight and family
+    fields the class's ``state_dict`` records."""
+    header = sketch.state_dict()
+    counters = header.pop("counters")
+    kind = "vectorized" if isinstance(sketch, VectorizedCountSketch) else "dense"
+    return TYPE_CODES[kind], header, _counters_payload(counters)
 
 
-def _decode_dense(header: dict[str, Any], payload: bytes) -> CountSketch:
-    _require_fields(
-        header, "depth", "width", "seed", "total_weight",
-        "bucket_coefficients", "sign_coefficients",
-    )
-    counters, end = _counters_from(
-        payload, 0, header["depth"], header["width"]
-    )
-    _expect_consumed(payload, end)
-    return CountSketch.from_state_dict(
-        {
-            "depth": header["depth"],
-            "width": header["width"],
-            "seed": header["seed"],
-            "total_weight": header["total_weight"],
-            "bucket_coefficients": header["bucket_coefficients"],
-            "sign_coefficients": header["sign_coefficients"],
-            "counters": counters,
-        }
-    )
+def _linear_decoder(
+    sketch_type: type[CountSketch], *family_fields: str
+) -> Callable[[dict[str, Any], bytes], CountSketch]:
+    def decode(header: dict[str, Any], payload: bytes) -> CountSketch:
+        _require_fields(header, "depth", "width", "seed", "total_weight",
+                        *family_fields)
+        counters, end = _counters_from(
+            payload, 0, header["depth"], header["width"]
+        )
+        _expect_consumed(payload, end)
+        return sketch_type.from_state_dict({**header, "counters": counters})
 
-
-def _encode_vectorized(
-    sketch: VectorizedCountSketch,
-) -> tuple[int, dict[str, Any], bytes]:
-    state = sketch.state_dict()
-    header = {
-        "depth": state["depth"],
-        "width": state["width"],
-        "seed": state["seed"],
-        "total_weight": state["total_weight"],
-    }
-    return (
-        TYPE_CODES["vectorized"], header,
-        _counters_payload(state["counters"]),
-    )
-
-
-def _decode_vectorized(
-    header: dict[str, Any], payload: bytes
-) -> VectorizedCountSketch:
-    _require_fields(header, "depth", "width", "seed", "total_weight")
-    counters, end = _counters_from(
-        payload, 0, header["depth"], header["width"]
-    )
-    _expect_consumed(payload, end)
-    return VectorizedCountSketch.from_state_dict(
-        {
-            "depth": header["depth"],
-            "width": header["width"],
-            "seed": header["seed"],
-            "total_weight": header["total_weight"],
-            "counters": counters,
-        }
-    )
+    return decode
 
 
 def _encode_sparse(
@@ -370,17 +321,18 @@ def _expect_consumed(payload: bytes, end: int) -> None:
 
 
 _ENCODERS = (
-    (CountSketch, _encode_dense),
+    (CountSketch, _encode_linear),  # and its VectorizedCountSketch
     (SparseCountSketch, _encode_sparse),
-    (VectorizedCountSketch, _encode_vectorized),
     (TopKTracker, _encode_topk),
     (JumpingWindowSketch, _encode_window),
 )
 
 _DECODERS = {
-    TYPE_CODES["dense"]: _decode_dense,
+    TYPE_CODES["dense"]: _linear_decoder(
+        CountSketch, "bucket_coefficients", "sign_coefficients"
+    ),
     TYPE_CODES["sparse"]: _decode_sparse,
-    TYPE_CODES["vectorized"]: _decode_vectorized,
+    TYPE_CODES["vectorized"]: _linear_decoder(VectorizedCountSketch),
     TYPE_CODES["topk"]: _decode_topk,
     TYPE_CODES["window"]: _decode_window,
 }

@@ -8,11 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.countsketch import CountSketch
+from repro.core.vectorized import VectorizedCountSketch
+from repro.hashing.bucket import BucketHashFamily
+from repro.hashing.mersenne import KWiseFamily
+from repro.hashing.multiply_shift import MultiplyShiftFamily
+from repro.hashing.sign import SignHashFamily
 
 ITEMS = st.one_of(
     st.integers(min_value=0, max_value=10_000),
     st.text(min_size=1, max_size=8),
 )
+
+#: Keys where the Mersenne reduction and the 64-bit wrap change branch.
+U64_EDGES = [0, 2**61 - 2, 2**61 - 1, 2**61, 2 * (2**61 - 1), 2**63,
+             2**64 - 1]
+U64_KEYS = st.one_of(st.sampled_from(U64_EDGES),
+                     st.integers(min_value=0, max_value=2**64 - 1))
 
 
 class TestConstruction:
@@ -44,18 +55,17 @@ class TestConstruction:
         assert CountSketch(2, 4).items_stored() == 0
 
     def test_explicit_hashes_must_match_depth(self):
-        donor = CountSketch(3, 10, seed=1)
+        bucket_hashes = BucketHashFamily(KWiseFamily(seed=1), 10).draw(3)
         with pytest.raises(ValueError):
-            CountSketch(2, 10, bucket_hashes=donor._bucket_hashes)
+            CountSketch(2, 10, bucket_hashes=bucket_hashes)
 
     def test_explicit_bucket_hash_range_checked(self):
-        donor = CountSketch(3, 10, seed=1)
         with pytest.raises(ValueError):
             CountSketch(
                 3,
                 20,
-                bucket_hashes=donor._bucket_hashes,
-                sign_hashes=donor._sign_hashes,
+                bucket_hashes=BucketHashFamily(KWiseFamily(seed=1), 10).draw(3),
+                sign_hashes=SignHashFamily(KWiseFamily(seed=2)).draw(3),
             )
 
 
@@ -142,6 +152,83 @@ class TestAddEstimate:
         top = zipf_counts.most_common(10)
         for item, count in top:
             assert abs(sketch.estimate(item) - count) <= 0.1 * count + 5
+
+
+class TestBatchEqualsScalar:
+    """The array evaluation of each hash family matches its per-key one."""
+
+    @pytest.mark.parametrize("sketch_type",
+                             [CountSketch, VectorizedCountSketch])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        depth=st.integers(min_value=1, max_value=7),
+        width=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32),
+        updates=st.lists(
+            st.tuples(U64_KEYS, st.integers(min_value=-50, max_value=50)),
+            max_size=60,
+        ),
+        probes=st.lists(U64_KEYS, max_size=20),
+    )
+    def test_batch_paths_equal_per_key_paths(self, sketch_type, depth, width,
+                                             seed, updates, probes):
+        batch = sketch_type(depth, width, seed=seed)
+        single = sketch_type(depth, width, seed=seed)
+        batch.update_batch(
+            np.asarray([key for key, __ in updates], dtype=np.uint64),
+            np.asarray([weight for __, weight in updates], dtype=np.int64),
+        )
+        for key, weight in updates:
+            single.update(key, weight)
+        assert np.array_equal(batch.counters, single.counters)
+        assert batch.total_weight == single.total_weight
+        queries = [key for key, __ in updates] + probes
+        keys = np.asarray(queries, dtype=np.uint64)
+        assert batch.estimate_batch(keys).tolist() == [
+            single.estimate(key) for key in queries
+        ]
+        assert batch.row_values_batch(keys).T.tolist() == [
+            single.row_values(key) for key in queries
+        ]
+
+    @pytest.mark.parametrize("bucket_family", [
+        KWiseFamily(independence=3, seed=5),
+        MultiplyShiftFamily(out_bits=31, seed=5),
+    ])
+    def test_explicit_functions_of_other_families(self, bucket_family):
+        # Degree-2 polynomials take the general limb-product Horner;
+        # other families are called key by key on both paths.
+        bucket_hashes = BucketHashFamily(bucket_family, 40).draw(3)
+        sign_hashes = SignHashFamily(KWiseFamily(independence=4, seed=6)).draw(3)
+        items = [0, 2**61 - 1, 2**64 - 1, "text", ("flow", 1)] * 3
+        batch = CountSketch(3, 40, bucket_hashes=bucket_hashes,
+                            sign_hashes=sign_hashes)
+        batch.update_batch(items, list(range(-7, 8)))
+        single = CountSketch(3, 40, bucket_hashes=bucket_hashes,
+                             sign_hashes=sign_hashes)
+        for item, weight in zip(items, range(-7, 8), strict=True):
+            single.update(item, weight)
+        assert batch == single
+        assert batch.row_values_batch(items).T.tolist() == [
+            single.row_values(item) for item in items
+        ]
+
+    def test_batches_larger_than_a_slice(self, monkeypatch):
+        from repro.core import countsketch as module
+
+        monkeypatch.setattr(module, "_BATCH_SLICE", 3)
+        items = [f"item-{i % 7}" for i in range(50)]
+        weights = [i - 25 for i in range(50)]
+        batch = CountSketch(5, 16, seed=8)
+        batch.update_batch(items, weights)
+        single = CountSketch(5, 16, seed=8)
+        for item, weight in zip(items, weights, strict=True):
+            single.update(item, weight)
+        assert batch == single
+        assert batch.total_weight == single.total_weight
+        assert batch.row_values_batch(items).T.tolist() == [
+            single.row_values(item) for item in items
+        ]
 
 
 class TestUnbiasedness:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.countsketch import CountSketch
 from repro.core.vectorized import VectorizedCountSketch
 from repro.hashing.vectorized import VectorizedRowHashes, encode_keys
+from repro.service.tables import TableSpec
 
 
 class TestEncodeKeys:
@@ -131,46 +132,46 @@ class TestVectorizedRowHashes:
     def test_buckets_in_range(self):
         hashes = VectorizedRowHashes(3, 17, seed=1)
         keys = encode_keys(list(range(1000)))
+        buckets, __ = hashes.positions_array(keys)
         for row in range(3):
-            buckets = hashes.buckets(keys, row)
-            assert buckets.min() >= 0
-            assert buckets.max() < 17
+            assert buckets[row].min() >= 0
+            assert buckets[row].max() < 17
 
     def test_signs_plus_minus_one(self):
         hashes = VectorizedRowHashes(2, 8, seed=2)
         keys = encode_keys(list(range(1000)))
-        signs = hashes.signs(keys, 0)
+        signs = hashes.positions_array(keys)[1][0]
         assert set(np.unique(signs).tolist()) == {-1, 1}
 
     def test_signs_balanced(self):
         hashes = VectorizedRowHashes(1, 8, seed=3)
         keys = encode_keys(list(range(20_000)))
-        assert abs(int(hashes.signs(keys, 0).sum())) < 900
+        assert abs(int(hashes.positions_array(keys)[1][0].sum())) < 900
 
     def test_bucket_distribution_uniform(self):
         hashes = VectorizedRowHashes(1, 16, seed=4)
         keys = encode_keys(list(range(32_000)))
-        counts = np.bincount(hashes.buckets(keys, 0), minlength=16)
+        counts = np.bincount(hashes.positions_array(keys)[0][0], minlength=16)
         assert (np.abs(counts - 2000) < 6 * 2000**0.5).all()
 
     def test_deterministic(self):
         a = VectorizedRowHashes(2, 8, seed=5)
         b = VectorizedRowHashes(2, 8, seed=5)
         keys = encode_keys([10, 20, 30])
-        assert np.array_equal(a.buckets(keys, 1), b.buckets(keys, 1))
-        assert a.same_functions(b)
+        assert np.array_equal(a.positions_array(keys)[0][1],
+                              b.positions_array(keys)[0][1])
+        assert a == b
 
     def test_different_seeds_differ(self):
         a = VectorizedRowHashes(2, 8, seed=5)
         b = VectorizedRowHashes(2, 8, seed=6)
-        assert not a.same_functions(b)
+        assert a != b
 
     def test_rows_are_independent_functions(self):
         hashes = VectorizedRowHashes(2, 64, seed=7)
         keys = encode_keys(list(range(500)))
-        assert not np.array_equal(
-            hashes.buckets(keys, 0), hashes.buckets(keys, 1)
-        )
+        buckets, __ = hashes.positions_array(keys)
+        assert not np.array_equal(buckets[0], buckets[1])
 
 
 class TestVectorizedCountSketch:
@@ -269,6 +270,24 @@ class TestVectorizedCountSketch:
             )
         with pytest.raises(TypeError):
             VectorizedCountSketch(3, 32).merge("nope")
+
+    def test_cross_family_arithmetic_refused(self):
+        # One class, two hash families: sketches add only when they
+        # share hash functions, so equal (depth, width, seed) is not
+        # enough across families.
+        dense = CountSketch(3, 32, seed=4)
+        vectorized = VectorizedCountSketch(3, 32, seed=4)
+        for a, b in ((dense, vectorized), (vectorized, dense)):
+            assert not a.compatible_with(b)
+            assert a != b
+            with pytest.raises(ValueError, match="not compatible"):
+                a + b
+            with pytest.raises(ValueError, match="not compatible"):
+                a - b
+            with pytest.raises(ValueError, match="not compatible"):
+                a.merge(b)
+        assert not TableSpec("t", kind="sketch").matches_summary(vectorized)
+        assert not TableSpec("t", kind="vectorized").matches_summary(dense)
 
     def test_copy_independent(self):
         sketch = VectorizedCountSketch(2, 16, seed=0)

@@ -49,7 +49,7 @@ class TestBucketUniformity:
 
     def test_vectorized_buckets_uniform(self):
         rows = VectorizedRowHashes(1, 32, seed=104)
-        values = rows.buckets(encode_keys(self.KEYS), 0)
+        values = rows.positions_array(encode_keys(self.KEYS))[0][0]
         assert chi2_uniform_pvalue(values, 32) > ALPHA
 
     def test_string_keys_uniform(self):
@@ -70,7 +70,7 @@ class TestSignBalance:
 
     def test_vectorized_sign_marginal_fair(self):
         rows = VectorizedRowHashes(1, 8, seed=107)
-        signs = rows.signs(encode_keys(list(range(40_000))), 0)
+        signs = rows.positions_array(encode_keys(list(range(40_000))))[1][0]
         positives = int((signs == 1).sum())
         assert stats.binomtest(positives, 40_000, 0.5).pvalue > ALPHA
 

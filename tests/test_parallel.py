@@ -103,6 +103,21 @@ class TestExecutorResolution:
         serial.extend(stream)
         assert sketch == serial
 
+    def test_vectorized_backend_never_forks(self):
+        # A vectorized shard is one NumPy pass, cheaper than a fork
+        # round trip, so the backend runs serially whatever n_workers is.
+        stream = zipf_stream(n=4_000, m=300)
+        sketch, summary = parallel_sketch(
+            stream, 3, 64, seed=2, backend="vectorized", n_workers=2,
+            chunk_size=512,
+        )
+        assert summary.executor == "serial"
+        assert summary.n_workers == 2
+        serial = VectorizedCountSketch(3, 64, seed=2)
+        serial.extend(stream)
+        assert np.array_equal(sketch.counters, serial.counters)
+        assert sketch.total_weight == serial.total_weight == len(stream)
+
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
             parallel_sketch([1, 2], 3, 64, n_workers=0)

@@ -130,6 +130,34 @@ class TestMidStreamExactness:
 
         run(go())
 
+    @pytest.mark.parametrize("kind", ["sketch", "topk"])
+    def test_mixed_key_types_batch_reads_on_polynomial_tables(self, kind):
+        # The paper-family tables read estimate_rows (and, for sketch
+        # tables, estimate) as one batch; every key type must land
+        # where the offline per-key scalar path puts it.
+        async def go():
+            spec = spec_for(kind)
+            server = SketchServer([spec])
+            client = AsyncServiceClient.in_process(server)
+            offline = spec.build()
+            sketch = offline.sketch if kind == "topk" else offline
+            keys = ["text", 42, b"\x00\xff", ("flow", 8080), True]
+            await client.ingest(spec.name, [(k, 2) for k in keys])
+            for key in keys:
+                offline.update(key, 2)
+            mixed = [*keys, 1, -7, "absent"]
+            ints = [42, 1, -7, 2**63, 2**70]
+            for probes in (mixed, ints):
+                assert await client.estimate(spec.name, probes) == [
+                    float(offline.estimate(k)) for k in probes
+                ]
+                assert await client.estimate_rows(spec.name, probes) == [
+                    sketch.row_values(k) for k in probes
+                ]
+            await server.stop()
+
+        run(go())
+
 
 class TestRequestValidation:
     def test_unknown_op_is_bad_request(self):

@@ -6,9 +6,11 @@ are the contract with every snapshot already written to disk in the
 wild: this module fails if
 
 * a committed fixture stops decoding (a reader regression),
-* its estimates drift (a semantic regression), or
+* its estimates drift (a semantic regression),
 * re-encoding the decoded summary produces different bytes (a writer
-  regression — snapshots must stay a deterministic function of state).
+  regression — snapshots must stay a deterministic function of state), or
+* building the summary afresh from the generator's stream produces
+  different bytes (an update-path regression).
 
 After an *intentional* format change, bump ``FORMAT_VERSION``, keep a
 reader for version 1, and regenerate via
@@ -29,6 +31,7 @@ from repro.core.vectorized import VectorizedCountSketch
 from repro.core.windowed import JumpingWindowSketch
 from repro.store import dumps, load
 from repro.store.format import TYPE_CODES, decode_frame
+from tests.fixtures.store.generate_fixtures import build_summaries
 
 FIXTURES = Path(__file__).parent / "fixtures" / "store"
 GOLDEN = json.loads((FIXTURES / "golden.json").read_text(encoding="utf-8"))
@@ -71,6 +74,13 @@ class TestGoldenFixtures:
         # the format existing files use.
         data = (FIXTURES / GOLDEN[name]["file"]).read_bytes()
         assert dumps(load(FIXTURES / GOLDEN[name]["file"])) == data
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_rebuilt_fixture_is_byte_identical(self, name):
+        # Building the fixture afresh pins the update paths too: any
+        # drift in hashing or counters shows up as different bytes.
+        data = (FIXTURES / GOLDEN[name]["file"]).read_bytes()
+        assert dumps(build_summaries()[name]) == data
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_declared_type_code_is_stable(self, name):
