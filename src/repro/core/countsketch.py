@@ -69,6 +69,55 @@ _NO_METRIC = NullRegistry().counter("")
 RowHashes = PolynomialRowHashes | VectorizedRowHashes
 
 
+def integral_count(count: object) -> int:
+    """Return the stream weight ``count`` as an ``int``.
+
+    Counters are int64, so a weight must be a whole number: ``2.0`` and
+    ``np.int64(3)`` become ``2`` and ``3``, while ``1.5``, ``nan`` and
+    ``inf`` are refused rather than truncated.  Callers test
+    ``type(count) is int`` first, so the common case costs one check.
+
+    Raises:
+        TypeError: if ``count`` is a bool or not a real number.
+        ValueError: if ``count`` is not integral.
+    """
+    if isinstance(count, (bool, np.bool_)):
+        raise TypeError("count must be an integer, not a bool")
+    if isinstance(count, (int, np.integer)):
+        return int(count)
+    if isinstance(count, (float, np.floating)):
+        value = float(count)
+        if value.is_integer():
+            return int(value)
+        raise ValueError(f"count must be integral, got {count!r}")
+    raise TypeError(f"count must be an integer, got {type(count).__name__}")
+
+
+def _integral_weights(weights: Sequence[int] | np.ndarray, size: int) -> np.ndarray:
+    """Return per-record ``weights`` as an int64 array of length ``size``,
+    refusing the whole batch if any weight is not integral (see
+    :func:`integral_count`).
+
+    Raises:
+        TypeError: if a weight is a bool or not a real number.
+        ValueError: if the length differs from ``size`` or a weight is
+            not integral.
+    """
+    array = np.asarray(weights)
+    if array.shape != (size,):
+        raise ValueError("weights must match items in length")
+    kind = array.dtype.kind
+    if kind in "iu":
+        return array.astype(np.int64, copy=False)
+    if kind == "f" and (np.abs(array) < 2.0**63).all() and (
+            array == np.trunc(array)).all():
+        return array.astype(np.int64)
+    # Non-integral floats, bools and mixed objects: the scalar check
+    # names the offending weight.
+    return np.asarray([integral_count(weight) for weight in array.tolist()],
+                      dtype=np.int64)
+
+
 class _SketchMetrics:
     """Metric handles captured once per sketch when collection is on.
 
@@ -267,7 +316,13 @@ class CountSketch:
 
         ``update(q)`` is exactly the paper's ``ADD(C, q)``;
         ``update(q, -1)`` is the subtraction step of the §4.2 first pass.
+
+        Raises:
+            ValueError: if ``count`` is not integral (see
+                :func:`integral_count`); the sketch is left unchanged.
         """
+        if type(count) is not int:
+            count = integral_count(count)
         key = encode_key(item)
         buckets, signs = self._positions(key)
         counters = self._counters
@@ -294,14 +349,14 @@ class CountSketch:
                 pre-encoded uint64 key array.
             weights: optional per-item weights (default 1 each); negative
                 weights delete, preserving linearity.
+
+        Raises:
+            ValueError: if a weight is not integral; the sketch is left
+                unchanged.
         """
-        keys = encode_keys(items)
+        keys, weights_arr = self._batch_input(items, weights)
         if keys.size == 0:
             return
-        weights_arr = None if weights is None else np.asarray(weights, dtype=np.int64)
-        if weights_arr is not None and weights_arr.shape != keys.shape:
-            raise ValueError("weights must match items in length")
-        total = keys.size if weights_arr is None else int(weights_arr.sum())
         flat = self._counters.reshape(-1)  # a view: counters are C-ordered
         row_starts = np.arange(0, flat.size, self._width)[:, None]
         for start in range(0, keys.size, _BATCH_SLICE):
@@ -310,10 +365,95 @@ class CountSketch:
             if weights_arr is not None:
                 signs = signs * weights_arr[part]
             np.add.at(flat, (buckets + row_starts).ravel(), signs.ravel())
-        self._total_weight += total
+        self._count_batch(keys.size, weights_arr)
+
+    def update_batch_estimates(
+        self,
+        items: Iterable[Hashable] | np.ndarray,
+        weights: Sequence[int] | np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Apply a batch in stream order and return each record's estimate
+        as read just after its own update.
+
+        This is APPROXTOP's ``ADD(C, q)`` then ``ESTIMATE(C, q)`` step
+        (§3.2) for a whole batch.  The sketch never depends on what a
+        caller does with an estimate, so record ``j``'s readout in row
+        ``i`` is the pre-batch counter plus the prefix sum, over records
+        ``0..j``, of the signed weights that land in its bucket.
+
+        Entry ``j`` equals :meth:`estimate` of ``items[j]`` right after
+        ``update(items[j], weights[j])`` in a per-item feed, bit for bit
+        (``-0.0`` included: rows are read as ``float(counter) * sign`` and
+        the median takes the rows in :func:`sorted` order, as
+        ``statistics.median`` does).  Counters and ``total_weight`` end as
+        :meth:`update_batch` leaves them.  Updates are counted as one
+        batch; the estimates are not counted as reads, since a caller may
+        use only some of them and counts those itself.
+
+        Raises:
+            ValueError: if a weight is not integral; the sketch is left
+                unchanged.
+        """
+        keys, weights_arr = self._batch_input(items, weights)
+        estimates = np.empty(keys.size, dtype=np.float64)
+        if keys.size == 0:
+            return estimates
+        depth = self._depth
+        middle = depth // 2
+        flat = self._counters.reshape(-1)
+        row_starts = np.arange(0, flat.size, self._width)[:, None]
+        # NumPy radix-sorts 16-bit keys, several times faster than int64.
+        bucket_type = np.uint16 if self._width <= 1 << 16 else np.int64
+        for start in range(0, keys.size, _BATCH_SLICE):
+            part = slice(start, start + _BATCH_SLICE)
+            buckets, signs = self._rows.positions_array(keys[part])
+            steps = signs if weights_arr is None else signs * weights_arr[part]
+            # A stable sort of each row lines up every counter's updates
+            # in stream order; ``order`` indexes the raveled rows.
+            order = np.argsort(buckets.astype(bucket_type), axis=1, kind="stable")
+            order += np.arange(0, buckets.size, buckets.shape[1])[:, None]
+            order = order.ravel()
+            cells = (buckets + row_starts).ravel()[order]
+            steps = steps.ravel()[order]
+            running = np.cumsum(steps)
+            # Each counter's run of updates starts where ``cells`` changes.
+            starts = np.empty(cells.size, dtype=bool)
+            starts[0] = True
+            np.not_equal(cells[1:], cells[:-1], out=starts[1:])
+            firsts = np.flatnonzero(starts)
+            lasts = np.append(firsts[1:], cells.size) - 1
+            # Counter value after each update: the old counter plus the
+            # running sum since the first update of its counter.
+            before = flat[cells[firsts]] - running[firsts] + steps[firsts]
+            after = running + np.repeat(before, lasts - firsts + 1)
+            flat[cells[firsts]] = after[lasts]
+            readouts = np.empty_like(after)
+            readouts[order] = after
+            rows = np.sort(readouts.reshape(depth, -1).astype(np.float64) * signs,
+                           axis=0, kind="stable")
+            estimates[part] = (rows[middle] if depth % 2
+                               else (rows[middle - 1] + rows[middle]) / 2)
+        self._count_batch(keys.size, weights_arr)
+        return estimates
+
+    def _batch_input(
+        self,
+        items: Iterable[Hashable] | np.ndarray,
+        weights: Sequence[int] | np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """A batch's uint64 keys and validated int64 weights (``None``
+        for unit weights)."""
+        keys = encode_keys(items)
+        if weights is None:
+            return keys, None
+        return keys, _integral_weights(weights, keys.size)
+
+    def _count_batch(self, size: int, weights: np.ndarray | None) -> None:
+        """Add an applied batch to ``total_weight`` and the metrics."""
+        self._total_weight += size if weights is None else int(weights.sum())
         metrics = self._metrics
         if metrics is not None:
-            metrics.updates.inc(int(keys.size))
+            metrics.updates.inc(size)
             metrics.update_batches.inc()
 
     def update_counts(self, counts: Mapping[Hashable, int]) -> None:
@@ -323,8 +463,7 @@ class CountSketch:
         identical to item-at-a-time updates (linearity) at a fraction of
         the cost — the idiom the experiment harness uses.
         """
-        self.update_batch(list(counts), np.asarray(list(counts.values()),
-                                                   dtype=np.int64))
+        self.update_batch(list(counts), list(counts.values()))
 
     def extend(self, stream: Iterable[Hashable]) -> None:
         """Apply ``ADD`` for each item of ``stream`` (aggregated, then one

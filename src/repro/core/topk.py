@@ -15,16 +15,33 @@ reported items all have true count ≥ (1−ε)·n_k, and every item with count
 
 Total space is ``O(t·b + k)``: the sketch counters plus one stored object
 and one counter per heap entry.
+
+The sketch never depends on the heap, so a batch of records
+(:meth:`TopKTracker.update_batch`) runs step 1 and every estimate of
+step 3 in one NumPy pass and replays only the heap decisions in order,
+ending exactly where the per-item loop ends.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable, Sequence
 from typing import Any
 
-from repro.core.countsketch import CountSketch
+import numpy as np
+
+from repro.core.countsketch import CountSketch, integral_count
 from repro.core.heap import IndexedMinHeap
 from repro.observability.registry import MetricsRegistry, get_registry
+
+#: Batches shorter than this take the per-item loop in
+#: :meth:`TopKTracker.update_batch`: the batch step's fixed NumPy cost
+#: only pays off above it.  Measured on the applies of a served ``topk``
+#: table (depth 5, width 1024, Zipf(1.1) int keys, queries running
+#: alongside, one of 2 shared vCPUs), median per apply: the loop took
+#: 131/165/202/211/219/237 µs at 12/16/20/21/22/24 records, the batch
+#: step 191/198/209/213/214/223 µs; on ~1000-record applies the loop
+#: cost 8.8 µs per record and the batch step 1.5 µs.
+_BATCH_CROSSOVER = 22
 
 
 class _TrackerMetrics:
@@ -110,7 +127,14 @@ class TopKTracker:
         return self._items_processed
 
     def update(self, item: Hashable, count: int = 1) -> None:
-        """Process ``count`` occurrences of ``item`` (the §3.2 loop body)."""
+        """Process ``count`` occurrences of ``item`` (the §3.2 loop body).
+
+        Raises:
+            ValueError: if ``count`` is not a positive integer (``2.0``
+                counts as ``2``); the tracker is left unchanged.
+        """
+        if type(count) is not int:
+            count = integral_count(count)
         if count < 1:
             raise ValueError("count must be a positive number of occurrences")
         self._sketch.update(item, count)
@@ -142,6 +166,95 @@ class TopKTracker:
                     metrics.evictions.inc()
             elif metrics is not None:
                 metrics.rejections.inc()
+
+    def update_batch(
+        self,
+        items: Iterable[Hashable] | np.ndarray,
+        counts: Sequence[int] | np.ndarray | None = None,
+    ) -> None:
+        """Process a batch of records ``(items[j], counts[j])`` in order.
+
+        Leaves the tracker bit-for-bit as ``update(items[j], counts[j])``
+        for each ``j`` in turn would: counters, ``items_processed``, heap
+        order and priorities, and the totals of the ``topk_*`` counters
+        and of the sketch's update and estimate counters
+        (``countsketch_updates_total``, ``countsketch_estimates_total``),
+        which are counted once per batch.  The heap stores the same
+        objects the loop would (ndarray inputs go through ``tolist()``).
+        Unlike the loop, the batch step never touches the position cache.
+
+        A batch of at least ``_BATCH_CROSSOVER`` records takes one NumPy
+        pass: :meth:`CountSketch.update_batch_estimates` applies it and
+        returns each record's estimate after its own update, which is
+        all the heap needs, since the sketch never depends on the heap.
+        Python then replays only the heap decisions, in stream order.
+        Shorter batches run the per-item loop.
+
+        Raises:
+            ValueError: if any count is not a positive integer, or the
+                lengths differ; nothing is applied.
+            TypeError: if any count is a bool or not a number; nothing
+                is applied.
+        """
+        records = items.tolist() if isinstance(items, np.ndarray) else list(items)
+        if counts is None:
+            count_list = [1] * len(records)
+        else:
+            count_list = [
+                count if type(count) is int else integral_count(count)
+                for count in (counts.tolist() if isinstance(counts, np.ndarray)
+                              else counts)
+            ]
+            if len(count_list) != len(records):
+                raise ValueError("counts must match items in length")
+            if count_list and min(count_list) < 1:
+                raise ValueError(
+                    "count must be a positive number of occurrences")
+        if len(records) < _BATCH_CROSSOVER:
+            for item, count in zip(records, count_list, strict=True):
+                self.update(item, count)
+            return
+        estimates = self._sketch.update_batch_estimates(
+            items if isinstance(items, np.ndarray) else records,
+            None if counts is None else count_list,
+        ).tolist()
+        self._items_processed += sum(count_list)
+        heap = self._heap
+        add_to, update, push, pop_min, minimum = (
+            heap.add_to, heap.update, heap.push, heap.pop_min, heap.min)
+        exact = self._exact_heap_counts
+        vacant = self._k - len(heap)
+        increments = admissions = evictions = rejections = 0
+        for item, count, estimate in zip(records, count_list, estimates, strict=True):
+            if item in heap:
+                if exact:
+                    add_to(item, count)
+                    increments += 1
+                else:
+                    update(item, estimate)
+            elif vacant:
+                push(item, estimate)
+                vacant -= 1
+                admissions += 1
+            elif estimate > minimum()[1]:
+                pop_min()
+                push(item, estimate)
+                admissions += 1
+                evictions += 1
+            else:
+                rejections += 1
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.updates.inc(len(records))
+            metrics.exact_increments.inc(increments)
+            metrics.admissions.inc(admissions)
+            metrics.evictions.inc(evictions)
+            metrics.rejections.inc(rejections)
+        sketch_metrics = self._sketch._metrics
+        if sketch_metrics is not None:
+            # The loop reads an estimate for every record it does not
+            # count exactly.
+            sketch_metrics.estimates.inc(len(records) - increments)
 
     def top(self, k: int | None = None) -> list[tuple[Hashable, float]]:
         """Return up to ``k`` (item, tracked count) pairs, heaviest first.

@@ -52,9 +52,10 @@ def encode_keys(items: Iterable[Hashable] | np.ndarray) -> np.ndarray:
             # 2**64, matching encode_key's `value & ((1 << 64) - 1)`.
             return items.astype(np.uint64)
     items = list(items)
-    if all(isinstance(item, (int, np.integer))
-           and not isinstance(item, (bool, np.bool_))
-           for item in items):
+    # One check per distinct type, not per item.
+    if all(issubclass(kind, (int, np.integer))
+           and not issubclass(kind, (bool, np.bool_))
+           for kind in set(map(type, items))):
         try:
             return np.asarray(items, dtype=np.uint64)
         except (OverflowError, TypeError, ValueError):

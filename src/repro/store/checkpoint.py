@@ -62,11 +62,13 @@ def apply_update_batch(
 ) -> None:
     """Apply parallel record lists ``(items[i], counts[i])`` in stream order.
 
-    Summaries exposing ``update_batch`` (every linear Count Sketch)
-    absorb the whole batch in one call; everything else gets an in-order
-    scalar loop, preserving order-sensitive semantics (top-k heap
-    admission, jumping-window rotation).  Either way the result is
-    exactly the state an item-at-a-time feed would have produced.
+    Summaries exposing ``update_batch`` absorb the whole batch in one
+    call: every linear Count Sketch, and the top-k tracker, whose batch
+    step replays its heap decisions in stream order.  Everything else
+    (the sparse sketch, and the jumping window, whose rotation is
+    order-sensitive) gets an in-order scalar loop.  Either way the result is exactly the state an
+    item-at-a-time feed would have produced, and a batch with a
+    non-integral count is refused by the summary.
 
     A ``uint64`` ndarray of pre-encoded keys (the binary wire path) is
     handed to ``update_batch`` as-is — boxing it into a list would cost
@@ -77,10 +79,7 @@ def apply_update_batch(
     batch = getattr(summary, "update_batch", None)
     if batch is not None:
         if len(items):
-            if isinstance(items, np.ndarray):
-                batch(items, np.asarray(counts, dtype=np.int64))
-            else:
-                batch(list(items), np.asarray(counts, dtype=np.int64))
+            batch(items, counts)
         return
     if isinstance(items, np.ndarray):
         # Scalar summaries get Python ints: a NumPy scalar hashes the
@@ -193,8 +192,9 @@ class CheckpointManager:
         """Apply a micro-batch of records, then checkpoint if due.
 
         The batch is absorbed through :func:`apply_update_batch` (one
-        vectorized call when the summary supports it, an in-order loop
-        otherwise) and counts as ``len(items)`` stream records.  The
+        ``update_batch`` call for sketches and top-k trackers, an
+        in-order loop otherwise) and counts as ``len(items)`` stream
+        records.  The
         due-check runs once at the batch end, so checkpoints always land
         on batch boundaries — which are record boundaries — keeping the
         resume contract exact.

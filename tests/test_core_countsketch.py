@@ -1,5 +1,6 @@
 """Tests for repro.core.countsketch — the COUNT SKETCH data structure."""
 
+import struct
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.hashing.bucket import BucketHashFamily
 from repro.hashing.mersenne import KWiseFamily
 from repro.hashing.multiply_shift import MultiplyShiftFamily
 from repro.hashing.sign import SignHashFamily
+from repro.observability.registry import MetricsRegistry, use_registry
 
 ITEMS = st.one_of(
     st.integers(min_value=0, max_value=10_000),
@@ -229,6 +231,154 @@ class TestBatchEqualsScalar:
         assert batch.row_values_batch(items).T.tolist() == [
             single.row_values(item) for item in items
         ]
+
+
+class TestIntegralCounts:
+    """Counters are int64: a non-integral weight is refused, never
+    truncated, and an integral one of another type becomes an int."""
+
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"),
+                                     np.float64(-0.5)])
+    def test_update_refuses_non_integral_count(self, bad):
+        sketch = CountSketch(3, 16, seed=1)
+        sketch.update("b", 4)
+        before = sketch.counters.copy()
+        with pytest.raises(ValueError, match="integral"):
+            sketch.update("a", bad)
+        assert np.array_equal(sketch.counters, before)
+        assert sketch.total_weight == 4
+
+    @pytest.mark.parametrize("count", [2.0, np.int64(2), np.float32(2.0)])
+    def test_update_normalizes_integral_count(self, count):
+        sketch = CountSketch(3, 16, seed=1)
+        sketch.update("a", count)
+        reference = CountSketch(3, 16, seed=1)
+        reference.update("a", 2)
+        assert sketch == reference
+        assert type(sketch.total_weight) is int
+        assert sketch.total_weight == 2
+
+    def test_update_refuses_bool_and_non_number_counts(self):
+        sketch = CountSketch(3, 16, seed=1)
+        with pytest.raises(TypeError):
+            sketch.update("a", True)
+        with pytest.raises(TypeError):
+            sketch.update("a", "2")
+        assert sketch.total_weight == 0
+
+    @pytest.mark.parametrize("sketch_type", [CountSketch, VectorizedCountSketch])
+    @pytest.mark.parametrize("method", ["update_batch", "update_batch_estimates"])
+    def test_batch_refuses_any_non_integral_weight(self, sketch_type, method):
+        sketch = sketch_type(3, 16, seed=1)
+        with pytest.raises(ValueError, match="integral"):
+            getattr(sketch, method)(["a"], [1.5])
+        with pytest.raises(ValueError, match="integral"):
+            getattr(sketch, method)(["a", "b", "c"], [1, float("nan"), 2])
+        with pytest.raises(ValueError, match="integral"):
+            getattr(sketch, method)(["a", "b"], np.asarray([2.0, np.inf]))
+        assert not sketch.counters.any()
+        assert sketch.total_weight == 0
+
+    def test_batch_normalizes_integral_weights(self):
+        sketch = CountSketch(3, 16, seed=1)
+        sketch.update_batch(["a", "b"], [2.0, np.int64(3)])
+        reference = CountSketch(3, 16, seed=1)
+        reference.update_batch(["a", "b"], [2, 3])
+        assert sketch == reference
+        assert type(sketch.total_weight) is int
+        assert sketch.total_weight == 5
+
+
+class TestUpdateBatchEstimates:
+    """Each returned estimate is the per-item path's read right after
+    that record's own update, to the bit."""
+
+    @pytest.mark.parametrize("sketch_type", [CountSketch, VectorizedCountSketch])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        depth=st.integers(min_value=1, max_value=7),
+        width=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32),
+        updates=st.lists(
+            st.tuples(st.one_of(U64_KEYS, st.integers(0, 6), st.text(max_size=2)),
+                      st.integers(min_value=-5, max_value=5)),
+            max_size=60,
+        ),
+    )
+    def test_equals_update_then_estimate(self, sketch_type, depth, width, seed,
+                                         updates):
+        batch = sketch_type(depth, width, seed=seed)
+        single = sketch_type(depth, width, seed=seed)
+        batch.update(7, 3)
+        single.update(7, 3)
+        estimates = batch.update_batch_estimates(
+            [key for key, __ in updates], [weight for __, weight in updates])
+        expected = []
+        for key, weight in updates:
+            single.update(key, weight)
+            expected.append(single.estimate(key))
+        assert [struct.pack("<d", value) for value in estimates.tolist()] == [
+            struct.pack("<d", value) for value in expected]
+        assert np.array_equal(batch.counters, single.counters)
+        assert batch.total_weight == single.total_weight
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_zero_readouts_keep_their_sign(self, depth):
+        # Width 1 puts every key in one counter per row, so readouts of
+        # 0 meet signs of both kinds: -0.0 must appear exactly where the
+        # per-item path makes it.
+        batch = CountSketch(depth, 1, seed=4)
+        single = CountSketch(depth, 1, seed=4)
+        items = list(range(40))
+        weights = [1, -1] * 20
+        estimates = batch.update_batch_estimates(items, weights).tolist()
+        expected = []
+        for item, weight in zip(items, weights, strict=True):
+            single.update(item, weight)
+            expected.append(single.estimate(item))
+        assert [struct.pack("<d", value) for value in estimates] == [
+            struct.pack("<d", value) for value in expected]
+        assert any(struct.pack("<d", value) == struct.pack("<d", -0.0)
+                   for value in expected)
+
+    def test_batches_larger_than_a_slice(self, monkeypatch):
+        from repro.core import countsketch as module
+
+        monkeypatch.setattr(module, "_BATCH_SLICE", 3)
+        items = [f"item-{i % 7}" for i in range(50)]
+        weights = [i - 25 for i in range(50)]
+        batch = CountSketch(5, 16, seed=8)
+        estimates = batch.update_batch_estimates(items, weights).tolist()
+        single = CountSketch(5, 16, seed=8)
+        expected = []
+        for item, weight in zip(items, weights, strict=True):
+            single.update(item, weight)
+            expected.append(single.estimate(item))
+        assert estimates == expected
+        assert batch == single
+        assert batch.total_weight == single.total_weight
+
+    def test_wide_rows_sort_on_full_width_buckets(self):
+        # Widths above 2**16 cannot sort buckets as 16-bit keys.
+        items = [i % 11 for i in range(60)]
+        batch = VectorizedCountSketch(3, (1 << 16) + 5, seed=2)
+        estimates = batch.update_batch_estimates(items).tolist()
+        single = VectorizedCountSketch(3, (1 << 16) + 5, seed=2)
+        expected = []
+        for item in items:
+            single.update(item)
+            expected.append(single.estimate(item))
+        assert estimates == expected
+        assert batch == single
+
+    def test_counts_updates_not_estimates(self):
+        with use_registry(MetricsRegistry()) as registry:
+            sketch = CountSketch(3, 16, seed=1)
+        sketch.update_batch_estimates(["a", "b", "a"])
+        counters = registry.snapshot()["counters"]
+        assert counters["countsketch_updates_total"] == 3
+        assert counters.get("countsketch_estimates_total", 0) == 0
+        assert counters.get("countsketch_position_cache_misses_total", 0) == 0
 
 
 class TestUnbiasedness:

@@ -1,10 +1,34 @@
 """Tests for repro.core.topk — the §3.2 APPROXTOP tracker."""
 
+import random
+import struct
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.metrics import recall_at_k
+from repro.core import countsketch, topk
 from repro.core.countsketch import CountSketch
 from repro.core.topk import TopKTracker
+from repro.core.vectorized import VectorizedCountSketch
+from repro.observability.registry import MetricsRegistry, use_registry
+
+CROSSOVER = topk._BATCH_CROSSOVER
+
+#: Keys of every encodable kind, including ints that wrap mod 2**64 and
+#: the 1 / True / 1.0 trio: one key to the heap's dict, while the sketch
+#: hashes 1.0 apart from the other two.
+KEYS = st.one_of(
+    st.integers(min_value=-(2**70), max_value=-1),
+    st.integers(min_value=2**64, max_value=2**72),
+    st.integers(min_value=0, max_value=30),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.tuples(st.integers(min_value=0, max_value=3), st.text(max_size=2)),
+    st.sampled_from([1, True, 1.0]),
+)
 
 
 class TestConstruction:
@@ -85,6 +109,24 @@ class TestUpdates:
             tracker.update("x", 0)
         with pytest.raises(ValueError):
             tracker.update("x", -1)
+
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf")])
+    def test_non_integral_count_rejected(self, bad):
+        tracker = TopKTracker(2, depth=3, width=32, seed=0)
+        with pytest.raises(ValueError):
+            tracker.update("x", bad)
+        assert tracker.items_processed == 0
+        assert tracker.sketch.total_weight == 0
+        assert "x" not in tracker
+
+    def test_integral_count_normalized_to_int(self):
+        tracker = TopKTracker(2, depth=3, width=32, seed=0)
+        tracker.update("x", 2.0)  # repro: noqa-RS005 — integral float count
+        tracker.update("x", np.int64(3))
+        assert type(tracker.items_processed) is int
+        assert tracker.items_processed == 5
+        ((__, priority),) = tracker.state_dict()["heap"]
+        assert type(priority) is float and priority == 5.0
 
     def test_items_processed(self):
         tracker = TopKTracker(2, depth=3, width=32, seed=0)
@@ -184,3 +226,127 @@ class TestEndToEnd:
         for item in reversed(items):
             t2.update(item)
         assert t1.sketch == t2.sketch
+
+
+def _state(tracker):
+    """Everything the batch path must reproduce, with types and bits."""
+    state = tracker.state_dict()
+    return (
+        state["sketch"]["counters"].tolist(),
+        (type(state["sketch"]["total_weight"]), state["sketch"]["total_weight"]),
+        (type(state["items_processed"]), state["items_processed"]),
+        [(type(item), item, type(priority), struct.pack("<d", priority))
+         for item, priority in state["heap"]],
+    )
+
+
+def _metric_totals(registry, sketch):
+    """``topk_*`` totals and the sketch's update/estimate totals."""
+    counters = registry.snapshot()["counters"]
+    names = [name for name in counters if name.startswith("topk_")]
+    names += [type(sketch)._METRIC_NAMES[0], type(sketch)._METRIC_NAMES[2]]
+    return {name: counters[name] for name in names}
+
+
+class TestUpdateBatch:
+    """``update_batch`` leaves the tracker bit-for-bit as the loop does."""
+
+    @staticmethod
+    def build(sketch_type, k, depth, width, exact):
+        return TopKTracker(k, sketch=sketch_type(depth, width, seed=3),
+                           exact_heap_counts=exact)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sketch_type=st.sampled_from([CountSketch, VectorizedCountSketch]),
+        k=st.sampled_from([1, 3, 10]),
+        depth=st.integers(min_value=1, max_value=7),
+        width=st.integers(min_value=1, max_value=24),
+        exact=st.booleans(),
+        pool=st.lists(KEYS, min_size=1, max_size=12),
+        picks=st.lists(st.tuples(st.integers(min_value=0, max_value=11),
+                                 st.integers(min_value=1, max_value=5)),
+                       max_size=120),
+        sizes=st.lists(st.integers(min_value=1, max_value=3 * CROSSOVER),
+                       min_size=1, max_size=8),
+        as_arrays=st.booleans(),
+    )
+    def test_batches_equal_the_loop(self, sketch_type, k, depth, width, exact,
+                                    pool, picks, sizes, as_arrays):
+        records = [(pool[index % len(pool)], count) for index, count in picks]
+        with use_registry(MetricsRegistry()) as loop_registry:
+            loop = self.build(sketch_type, k, depth, width, exact)
+        with use_registry(MetricsRegistry()) as batch_registry:
+            batched = self.build(sketch_type, k, depth, width, exact)
+        for item, count in records:
+            loop.update(item, count)
+        start = 0
+        for size in sizes * (len(records) // sum(sizes) + 1):
+            if start >= len(records):
+                break
+            chunk = records[start:start + size]
+            counts = [count for __, count in chunk]
+            batched.update_batch([item for item, __ in chunk],
+                                 np.asarray(counts) if as_arrays else counts)
+            start += size
+        assert _state(batched) == _state(loop)
+        assert (_metric_totals(batch_registry, batched.sketch)
+                == _metric_totals(loop_registry, loop.sketch))
+
+    @pytest.mark.parametrize("sketch_type", [CountSketch, VectorizedCountSketch])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_batch_above_a_slice(self, sketch_type, exact):
+        rng = random.Random(11)
+        items = [f"key-{int(rng.paretovariate(1.0)) % 300}"
+                 for _ in range(countsketch._BATCH_SLICE * 3 // 2)]
+        counts = [rng.randint(1, 5) for _ in items]
+        loop = self.build(sketch_type, 10, 5, 64, exact)
+        for item, count in zip(items, counts, strict=True):
+            loop.update(item, count)
+        batched = self.build(sketch_type, 10, 5, 64, exact)
+        batched.update_batch(items, counts)
+        assert _state(batched) == _state(loop)
+
+    def test_unit_counts_by_default(self):
+        items = [i % 9 for i in range(3 * CROSSOVER)]
+        loop = self.build(CountSketch, 3, 5, 16, True)
+        for item in items:
+            loop.update(item)
+        batched = self.build(CountSketch, 3, 5, 16, True)
+        batched.update_batch(items)
+        assert _state(batched) == _state(loop)
+
+    def test_ndarray_inputs_store_python_objects(self):
+        keys = np.arange(3 * CROSSOVER, dtype=np.uint64) % 5
+        tracker = self.build(CountSketch, 3, 5, 16, True)
+        tracker.update_batch(keys, np.full(keys.size, 2, dtype=np.int64))
+        loop = self.build(CountSketch, 3, 5, 16, True)
+        for key in keys.tolist():
+            loop.update(key, 2)
+        assert _state(tracker) == _state(loop)
+        assert all(type(item) is int for item, __ in tracker.top())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=3 * CROSSOVER),
+        position=st.integers(min_value=0),
+        bad=st.sampled_from([0, -1, 1.5]),
+    )
+    def test_a_bad_count_refuses_the_whole_batch(self, size, position, bad):
+        tracker = self.build(CountSketch, 3, 5, 16, True)
+        tracker.update_batch([i % 7 for i in range(40)])
+        before = _state(tracker)
+        counts = [1] * size
+        counts[position % size] = bad
+        with pytest.raises(ValueError):
+            tracker.update_batch([i % 5 for i in range(size)], counts)
+        assert _state(tracker) == before
+
+    def test_batch_step_leaves_the_position_cache_alone(self):
+        with use_registry(MetricsRegistry()) as registry:
+            tracker = self.build(CountSketch, 3, 5, 16, True)
+        tracker.update_batch([i % 7 for i in range(CROSSOVER)])
+        counters = registry.snapshot()["counters"]
+        assert counters["countsketch_position_cache_hits_total"] == 0
+        assert counters["countsketch_position_cache_misses_total"] == 0
+        assert counters["topk_updates_total"] == CROSSOVER

@@ -15,6 +15,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.topk import _BATCH_CROSSOVER
 from repro.hashing.vectorized import encode_keys
 from repro.service.client import (
     AsyncServiceClient,
@@ -24,6 +25,7 @@ from repro.service.client import (
 from repro.service.protocol import pack_binary_ingest, unpack_frame
 from repro.service.server import SketchServer
 from repro.service.tables import ServiceTable, TableSpec
+from repro.store import dumps
 
 KINDS = ["sketch", "vectorized", "topk", "window"]
 
@@ -154,6 +156,36 @@ class TestMidStreamExactness:
                 assert await client.estimate_rows(spec.name, probes) == [
                     sketch.row_values(k) for k in probes
                 ]
+            await server.stop()
+
+        run(go())
+
+
+    def test_topk_snapshot_bytes_equal_a_per_item_feed(self):
+        # One ingest far above the batch crossover, then ingests below
+        # it, each applied before the next is sent: the served tracker
+        # goes through both apply paths and must end, byte for byte,
+        # where an offline tracker fed one record at a time ends.
+        async def go():
+            spec = spec_for("topk")
+            server = SketchServer([spec])
+            client = AsyncServiceClient.in_process(server)
+            rng = random.Random(5)
+            pool = [*(f"q-{i}" for i in range(300)), *range(-40, 40),
+                    2**64 + 1, b"\x00\xff", ("flow", 80), 1.0, True]
+
+            def draw(size: int) -> list[tuple[object, int]]:
+                return [(pool[int(rng.paretovariate(1.0)) % len(pool)],
+                         rng.randint(1, 4)) for _ in range(size)]
+
+            batches = [draw(5000)] + [draw(rng.randint(1, _BATCH_CROSSOVER - 1))
+                                      for _ in range(12)]
+            offline = spec.build()
+            for batch in batches:
+                await client.ingest(spec.name, batch, wait=True)
+                for item, count in batch:
+                    offline.update(item, count)
+            assert dumps(server.tables[spec.name].summary) == dumps(offline)
             await server.stop()
 
         run(go())
