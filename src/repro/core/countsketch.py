@@ -96,26 +96,31 @@ def integral_count(count: object) -> int:
 def _integral_weights(weights: Sequence[int] | np.ndarray, size: int) -> np.ndarray:
     """Return per-record ``weights`` as an int64 array of length ``size``,
     refusing the whole batch if any weight is not integral (see
-    :func:`integral_count`).
+    :func:`integral_count`) or does not fit int64.
 
     Raises:
         TypeError: if a weight is a bool or not a real number.
         ValueError: if the length differs from ``size`` or a weight is
             not integral.
+        OverflowError: if a weight lies outside int64.
     """
-    array = np.asarray(weights)
+    if isinstance(weights, np.ndarray) and weights.dtype.kind in "iu":
+        if (weights.dtype.kind == "u" and weights.size
+                and weights.max() > np.iinfo(np.int64).max):
+            raise OverflowError("weight does not fit int64")
+        array = weights.astype(np.int64, copy=False)
+    else:
+        # Each weight on its own, so a bool is never promoted to 1 and a
+        # non-integral value is named; the int64 conversion refuses
+        # values out of range.
+        array = np.asarray(
+            [weight if type(weight) is int else integral_count(weight)
+             for weight in (weights.tolist() if isinstance(weights, np.ndarray)
+                            else weights)],
+            dtype=np.int64)
     if array.shape != (size,):
         raise ValueError("weights must match items in length")
-    kind = array.dtype.kind
-    if kind in "iu":
-        return array.astype(np.int64, copy=False)
-    if kind == "f" and (np.abs(array) < 2.0**63).all() and (
-            array == np.trunc(array)).all():
-        return array.astype(np.int64)
-    # Non-integral floats, bools and mixed objects: the scalar check
-    # names the offending weight.
-    return np.asarray([integral_count(weight) for weight in array.tolist()],
-                      dtype=np.int64)
+    return array
 
 
 class _SketchMetrics:
@@ -299,15 +304,37 @@ class CountSketch:
         if metrics is not None:
             metrics.cache_misses.inc()
         positions = self._rows.positions(key)
+        self._remember(key, positions)
+        return positions
+
+    def _remember(self, key: int,
+                  positions: tuple[tuple[int, ...], tuple[int, ...]]) -> None:
+        """Cache ``key``'s positions, first evicting the oldest entries
+        if the cache is full."""
         cache = self._position_cache
         if len(cache) >= _POSITION_CACHE_LIMIT:
             evict = max(1, _POSITION_CACHE_LIMIT >> _POSITION_CACHE_EVICT_SHIFT)
             for stale in list(itertools.islice(iter(cache), evict)):
                 del cache[stale]
-            if metrics is not None:
-                metrics.cache_evictions.inc(evict)
+            if self._metrics is not None:
+                self._metrics.cache_evictions.inc(evict)
         cache[key] = positions
-        return positions
+
+    def _remember_batch(self, keys: np.ndarray, buckets: np.ndarray,
+                        signs: np.ndarray) -> None:
+        """Cache the positions of the batch ``keys`` not cached yet,
+        from their ``(depth, n)`` hashed arrays; no lookup is counted."""
+        cache = self._position_cache
+        key_list = keys.tolist()
+        fresh = [j for j, key in enumerate(key_list) if key not in cache]
+        if not fresh:
+            return
+        # Key by key, as ``positions`` builds them, so each entry's ints
+        # are allocated together rather than row by row.
+        for j, row_buckets, row_signs in zip(fresh, buckets[:, fresh].T.tolist(),
+                                             signs[:, fresh].T.tolist(), strict=True):
+            if key_list[j] not in cache:  # repeated within the batch
+                self._remember(key_list[j], (tuple(row_buckets), tuple(row_signs)))
 
     # -- updates ------------------------------------------------------------
 
@@ -353,6 +380,8 @@ class CountSketch:
         Raises:
             ValueError: if a weight is not integral; the sketch is left
                 unchanged.
+            OverflowError: if a weight lies outside int64; the sketch is
+                left unchanged.
         """
         keys, weights_arr = self._batch_input(items, weights)
         if keys.size == 0:
@@ -390,9 +419,16 @@ class CountSketch:
         batch; the estimates are not counted as reads, since a caller may
         use only some of them and counts those itself.
 
+        The position cache ends holding every key of the batch, as a
+        per-item feed leaves it, so per-item calls that follow find
+        their keys; the batch's own lookups are not counted as hits or
+        misses.
+
         Raises:
             ValueError: if a weight is not integral; the sketch is left
                 unchanged.
+            OverflowError: if a weight lies outside int64; the sketch is
+                left unchanged.
         """
         keys, weights_arr = self._batch_input(items, weights)
         estimates = np.empty(keys.size, dtype=np.float64)
@@ -407,6 +443,7 @@ class CountSketch:
         for start in range(0, keys.size, _BATCH_SLICE):
             part = slice(start, start + _BATCH_SLICE)
             buckets, signs = self._rows.positions_array(keys[part])
+            self._remember_batch(keys[part], buckets, signs)
             steps = signs if weights_arr is None else signs * weights_arr[part]
             # A stable sort of each row lines up every counter's updates
             # in stream order; ``order`` indexes the raveled rows.

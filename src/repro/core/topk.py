@@ -181,7 +181,8 @@ class TopKTracker:
         (``countsketch_updates_total``, ``countsketch_estimates_total``),
         which are counted once per batch.  The heap stores the same
         objects the loop would (ndarray inputs go through ``tolist()``).
-        Unlike the loop, the batch step never touches the position cache.
+        The batch step caches the positions of the keys it applies, as
+        the loop does, but counts no position-cache hits or misses.
 
         A batch of at least ``_BATCH_CROSSOVER`` records takes one NumPy
         pass: :meth:`CountSketch.update_batch_estimates` applies it and
@@ -195,6 +196,8 @@ class TopKTracker:
                 lengths differ; nothing is applied.
             TypeError: if any count is a bool or not a number; nothing
                 is applied.
+            OverflowError: if any count does not fit an int64 counter;
+                nothing is applied.
         """
         records = items.tolist() if isinstance(items, np.ndarray) else list(items)
         if counts is None:
@@ -210,13 +213,15 @@ class TopKTracker:
             if count_list and min(count_list) < 1:
                 raise ValueError(
                     "count must be a positive number of occurrences")
+            if count_list and max(count_list) >= 1 << 63:
+                raise OverflowError("count does not fit an int64 counter")
         if len(records) < _BATCH_CROSSOVER:
             for item, count in zip(records, count_list, strict=True):
                 self.update(item, count)
             return
         estimates = self._sketch.update_batch_estimates(
             items if isinstance(items, np.ndarray) else records,
-            None if counts is None else count_list,
+            None if counts is None else np.asarray(count_list, dtype=np.int64),
         ).tolist()
         self._items_processed += sum(count_list)
         heap = self._heap

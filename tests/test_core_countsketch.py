@@ -279,14 +279,34 @@ class TestIntegralCounts:
         assert not sketch.counters.any()
         assert sketch.total_weight == 0
 
+    @pytest.mark.parametrize("sketch_type", [CountSketch, VectorizedCountSketch])
+    @pytest.mark.parametrize("method", ["update_batch", "update_batch_estimates"])
+    def test_batch_refuses_weights_past_int64_and_bools(self, sketch_type, method):
+        sketch = sketch_type(3, 16, seed=1)
+        apply = getattr(sketch, method)
+        with pytest.raises(OverflowError):
+            apply(["a"], [2**63])
+        with pytest.raises(OverflowError):
+            apply(["a", "b"], [1, -(2**63) - 1])
+        with pytest.raises(OverflowError):
+            apply(["a", "b"], np.asarray([1, 2**63], dtype=np.uint64))
+        # A bool among numbers is refused, not promoted to 1.
+        with pytest.raises(TypeError):
+            apply(["a", "b"], [2, True])
+        with pytest.raises(TypeError):
+            apply(["a", "b"], [2.0, True])
+        assert not sketch.counters.any()
+        assert sketch.total_weight == 0
+
     def test_batch_normalizes_integral_weights(self):
         sketch = CountSketch(3, 16, seed=1)
         sketch.update_batch(["a", "b"], [2.0, np.int64(3)])
+        sketch.update_batch(["a"], np.asarray([4], dtype=np.uint64))
         reference = CountSketch(3, 16, seed=1)
-        reference.update_batch(["a", "b"], [2, 3])
+        reference.update_batch(["a", "b"], [6, 3])
         assert sketch == reference
         assert type(sketch.total_weight) is int
-        assert sketch.total_weight == 5
+        assert sketch.total_weight == 9
 
 
 class TestUpdateBatchEstimates:

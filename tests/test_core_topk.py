@@ -292,6 +292,9 @@ class TestUpdateBatch:
         assert _state(batched) == _state(loop)
         assert (_metric_totals(batch_registry, batched.sketch)
                 == _metric_totals(loop_registry, loop.sketch))
+        # Same cached keys, in the same (eviction) order, same positions.
+        assert (list(batched.sketch._position_cache.items())
+                == list(loop.sketch._position_cache.items()))
 
     @pytest.mark.parametrize("sketch_type", [CountSketch, VectorizedCountSketch])
     @pytest.mark.parametrize("exact", [True, False])
@@ -342,7 +345,26 @@ class TestUpdateBatch:
             tracker.update_batch([i % 5 for i in range(size)], counts)
         assert _state(tracker) == before
 
-    def test_batch_step_leaves_the_position_cache_alone(self):
+    @pytest.mark.parametrize("size", [2, CROSSOVER])
+    @pytest.mark.parametrize("fill, bad, error, as_array", [
+        (2, 2**63, OverflowError, False),
+        (2**63, 2**63, OverflowError, False),
+        (2**63, 2**63, OverflowError, True),
+        (2, True, TypeError, False),
+    ])
+    def test_a_count_past_int64_or_a_bool_refuses_the_whole_batch(
+            self, size, fill, bad, error, as_array):
+        tracker = self.build(CountSketch, 3, 5, 16, True)
+        tracker.update_batch([i % 7 for i in range(40)])
+        before = _state(tracker)
+        counts = [fill] * (size - 1) + [bad]
+        with pytest.raises(error):
+            tracker.update_batch([i % 5 for i in range(size)],
+                                 np.asarray(counts, dtype=np.uint64) if as_array
+                                 else counts)
+        assert _state(tracker) == before
+
+    def test_batch_step_caches_positions_without_counting(self):
         with use_registry(MetricsRegistry()) as registry:
             tracker = self.build(CountSketch, 3, 5, 16, True)
         tracker.update_batch([i % 7 for i in range(CROSSOVER)])
@@ -350,3 +372,9 @@ class TestUpdateBatch:
         assert counters["countsketch_position_cache_hits_total"] == 0
         assert counters["countsketch_position_cache_misses_total"] == 0
         assert counters["topk_updates_total"] == CROSSOVER
+        # The per-item calls that follow find every key cached.
+        for item in range(7):
+            tracker.update(item)
+        counters = registry.snapshot()["counters"]
+        assert counters["countsketch_position_cache_hits_total"] >= 7
+        assert counters["countsketch_position_cache_misses_total"] == 0
