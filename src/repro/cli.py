@@ -97,6 +97,7 @@ from repro.observability import (
 from repro.parallel import (
     DEFAULT_CHUNK_SIZE,
     IngestSummary,
+    iter_chunks,
     parallel_sketch,
     parallel_topk,
 )
@@ -915,23 +916,13 @@ def _query_ingest(client: _QueryClient, args: argparse.Namespace) -> int:
         return _usage_fail("--batch-size must be at least 1")
     if args.skip < 0:
         return _usage_fail("--skip cannot be negative")
-    stream = _load(args.input, args.int_keys)
-    source = (
-        itertools.islice(iter(stream), args.skip, None)
-        if args.skip else iter(stream)
-    )
+    source = itertools.islice(_load(args.input, args.int_keys), args.skip,
+                              None)
     total = 0
-    batch: list[tuple[Hashable, int]] = []
     # wait=True applies each batch before the next send: natural flow
     # control, so a well-behaved producer never sees `overloaded`.
-    for item in source:
-        batch.append((item, 1))
-        if len(batch) >= args.batch_size:
-            client.ingest(args.table, batch, wait=True)
-            total += len(batch)
-            batch = []
-    if batch:
-        client.ingest(args.table, batch, wait=True)
+    for batch in iter_chunks(source, args.batch_size):
+        client.ingest_items(args.table, batch, wait=True)
         total += len(batch)
     skipped = f" (skipped {args.skip})" if args.skip else ""
     print(f"ingested {total} records into {args.table!r}{skipped}")

@@ -39,10 +39,11 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.cluster.routing import partition_keys
-from repro.hashing.vectorized import encode_keys
 from repro.observability.registry import MetricsRegistry, get_registry
-from repro.service.client import AsyncServiceClient
+from repro.service.client import AsyncServiceClient, ingest_columns, unzip_records
 from repro.service.tables import TableSpec
 from repro.store.archive import ArchiveDiffEntry
 
@@ -220,18 +221,28 @@ class ClusterCoordinator:
         *,
         wait: bool = False,
     ) -> int:
-        """Route one batch of ``(item, count)`` records to its shards.
+        """Route ``(item, count)`` records: :meth:`ingest_items` of their columns."""
+        return await self.ingest_items(table, *unzip_records(records),
+                                       wait=wait)
 
-        The batch is encoded once (``encode_keys``); the resulting u64
-        images drive both jump-hash routing here and bucket hashing on
-        the shard.  Linear-sketch tables ship the integer key image
-        itself (``encode_key`` is the identity mod ``2**64`` on ints,
-        so the shard hashes the same image); ``topk`` tables ship the
-        original items, which their candidate heaps must store.
+    async def ingest_items(
+        self,
+        table: str,
+        items: Iterable[Hashable] | np.ndarray,
+        counts: Iterable[int] | np.ndarray | None = None,
+        *,
+        wait: bool = False,
+    ) -> int:
+        """Route one batch of records ``(items[j], counts[j])`` (each
+        count 1 by default) to its shards; returns the records routed.
+
+        Counts are checked and keys encoded once, here, before any shard
+        is sent anything.  The u64 images drive jump-hash routing; a shard
+        gets ``keys[positions]`` (on ``topk`` tables, whose heaps store
+        items, the items picked) with ``counts[positions]``.
 
         ``wait=True`` acknowledges only after every routed sub-batch is
         *applied* on its shard — the cluster-wide read barrier.
-        Returns the number of records routed.
 
         Shard-side refusals pass through untranslated: a shard whose
         table quota or ingest queue refuses its sub-batch raises the
@@ -242,35 +253,27 @@ class ClusterCoordinator:
         same call may already be acknowledged — retry the whole batch
         only on linear-sketch tables, where re-adding commutes (§3.2).
         """
-        pairs = [(item, int(count)) for item, count in records]
-        if not pairs:
+        if not isinstance(items, np.ndarray):
+            items = list(items)
+        keys, weights = ingest_columns(items, counts, raw=True)
+        assert isinstance(keys, np.ndarray)  # raw columns are key images
+        if not keys.size:
             return 0
-        ship_originals = (await self._table_spec(table)).packed_keys
-        keys = encode_keys([item for item, _ in pairs])
-        shards = partition_keys(keys, self.n_shards)
+        packed = (await self._table_spec(table)).packed_keys
         calls = []
-        for shard, positions in enumerate(shards):
-            if positions.size == 0:
-                continue
-            if ship_originals:
-                routed = [pairs[index] for index in positions]
-            else:
-                routed = [(int(keys[index]), pairs[index][1])
-                          for index in positions]
-            calls.append(
-                self._clients[shard].ingest(table, routed, wait=wait))
+        for shard, positions in enumerate(partition_keys(keys,
+                                                         self.n_shards)):
+            if positions.size:
+                routed: list[Hashable] | np.ndarray = (
+                    [items[index] for index in positions.tolist()]
+                    if packed else keys[positions])
+                calls.append(self._clients[shard].ingest_items(
+                    table, routed, weights[positions], wait=wait))
         await self._gather(calls)
         if self._metrics is not None:
             self._metrics.ingest_batches.inc()
-            self._metrics.ingest_records.inc(len(pairs))
-        return len(pairs)
-
-    async def ingest_items(
-        self, table: str, items: Iterable[Hashable], *, wait: bool = False
-    ) -> int:
-        """Sugar: route plain items, each with count 1."""
-        return await self.ingest(table, ((item, 1) for item in items),
-                                 wait=wait)
+            self._metrics.ingest_records.inc(keys.size)
+        return int(keys.size)
 
     # -- queries ------------------------------------------------------------
 

@@ -60,6 +60,11 @@ _POSITION_CACHE_EVICT_SHIFT = 3
 #: batch's memory by the slice, not by the batch.
 _BATCH_SLICE = 1 << 13
 
+#: Largest weight magnitude one update may carry.  A counter moves by
+#: ``sign * weight``, and int64 cannot negate ``-2**63``, so the range is
+#: symmetric: ``[-(2**63 - 1), 2**63 - 1]``.
+_MAX_WEIGHT = (1 << 63) - 1
+
 _NO_METRIC = NullRegistry().counter("")
 
 #: A hash family's rows: each evaluates one key in Python ints
@@ -93,33 +98,40 @@ def integral_count(count: object) -> int:
     raise TypeError(f"count must be an integer, got {type(count).__name__}")
 
 
-def _integral_weights(weights: Sequence[int] | np.ndarray, size: int) -> np.ndarray:
+def integral_weights(weights: Iterable[int] | np.ndarray, size: int) -> np.ndarray:
     """Return per-record ``weights`` as an int64 array of length ``size``,
     refusing the whole batch if any weight is not integral (see
-    :func:`integral_count`) or does not fit int64.
+    :func:`integral_count`) or lies outside ``[-(2**63 - 1), 2**63 - 1]``.
+
+    An int64 array passes through without a copy, after one range check.
 
     Raises:
         TypeError: if a weight is a bool or not a real number.
         ValueError: if the length differs from ``size`` or a weight is
             not integral.
-        OverflowError: if a weight lies outside int64.
+        OverflowError: if a weight lies outside the range above.
     """
     if isinstance(weights, np.ndarray) and weights.dtype.kind in "iu":
         if (weights.dtype.kind == "u" and weights.size
-                and weights.max() > np.iinfo(np.int64).max):
+                and weights.max() > _MAX_WEIGHT):
             raise OverflowError("weight does not fit int64")
         array = weights.astype(np.int64, copy=False)
     else:
         # Each weight on its own, so a bool is never promoted to 1 and a
         # non-integral value is named; the int64 conversion refuses
         # values out of range.
-        array = np.asarray(
-            [weight if type(weight) is int else integral_count(weight)
-             for weight in (weights.tolist() if isinstance(weights, np.ndarray)
-                            else weights)],
-            dtype=np.int64)
+        try:
+            array = np.asarray(
+                [weight if type(weight) is int else integral_count(weight)
+                 for weight in (weights.tolist() if isinstance(weights, np.ndarray)
+                                else weights)],
+                dtype=np.int64)
+        except OverflowError:
+            raise OverflowError("weight does not fit int64") from None
     if array.shape != (size,):
         raise ValueError("weights must match items in length")
+    if size and array.min() < -_MAX_WEIGHT:
+        raise OverflowError("weight -2**63 does not fit: int64 cannot negate it")
     return array
 
 
@@ -347,9 +359,13 @@ class CountSketch:
         Raises:
             ValueError: if ``count`` is not integral (see
                 :func:`integral_count`); the sketch is left unchanged.
+            OverflowError: if ``count`` lies outside
+                ``[-(2**63 - 1), 2**63 - 1]``; the sketch is left unchanged.
         """
         if type(count) is not int:
             count = integral_count(count)
+        if count > _MAX_WEIGHT or count < -_MAX_WEIGHT:
+            raise OverflowError("weight does not fit int64")
         key = encode_key(item)
         buckets, signs = self._positions(key)
         counters = self._counters
@@ -380,8 +396,8 @@ class CountSketch:
         Raises:
             ValueError: if a weight is not integral; the sketch is left
                 unchanged.
-            OverflowError: if a weight lies outside int64; the sketch is
-                left unchanged.
+            OverflowError: if a weight lies outside
+                ``[-(2**63 - 1), 2**63 - 1]``; the sketch is left unchanged.
         """
         keys, weights_arr = self._batch_input(items, weights)
         if keys.size == 0:
@@ -427,8 +443,8 @@ class CountSketch:
         Raises:
             ValueError: if a weight is not integral; the sketch is left
                 unchanged.
-            OverflowError: if a weight lies outside int64; the sketch is
-                left unchanged.
+            OverflowError: if a weight lies outside
+                ``[-(2**63 - 1), 2**63 - 1]``; the sketch is left unchanged.
         """
         keys, weights_arr = self._batch_input(items, weights)
         estimates = np.empty(keys.size, dtype=np.float64)
@@ -483,7 +499,7 @@ class CountSketch:
         keys = encode_keys(items)
         if weights is None:
             return keys, None
-        return keys, _integral_weights(weights, keys.size)
+        return keys, integral_weights(weights, keys.size)
 
     def _count_batch(self, size: int, weights: np.ndarray | None) -> None:
         """Add an applied batch to ``total_weight`` and the metrics."""

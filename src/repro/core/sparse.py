@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import statistics
 from collections.abc import Hashable, Iterable, Mapping
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
+from repro.core.countsketch import CountSketch, integral_count
 from repro.hashing.bucket import BucketHashFamily
 from repro.hashing.encode import encode_key
 from repro.hashing.mersenne import KWiseFamily
 from repro.hashing.sign import SignHashFamily
 from repro.observability.registry import MetricsRegistry, get_registry
-
-if TYPE_CHECKING:  # runtime import stays local to to_dense (circularity)
-    from repro.core.countsketch import CountSketch
 
 
 class _SparseMetrics:
@@ -94,7 +92,15 @@ class SparseCountSketch:
         return self._total_weight
 
     def update(self, item: Hashable, count: int = 1) -> None:
-        """Apply ``ADD`` with weight ``count`` (may be negative)."""
+        """Apply ``ADD`` with weight ``count`` (may be negative).
+
+        Raises:
+            ValueError: if ``count`` is not integral (see
+                :func:`~repro.core.countsketch.integral_count`); the sketch
+                is left unchanged.
+        """
+        if type(count) is not int:
+            count = integral_count(count)
         key = encode_key(item)
         for row_index in range(self._depth):
             bucket = self._bucket_hashes[row_index](key)
@@ -211,8 +217,6 @@ class SparseCountSketch:
         The result compares equal to a dense sketch built with the same
         parameters and fed the same updates.
         """
-        from repro.core.countsketch import CountSketch
-
         dense = CountSketch(self._depth, self._width, seed=self._seed)
         counters = dense._counters
         for row_index, row in enumerate(self._rows):

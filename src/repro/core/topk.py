@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.countsketch import CountSketch, integral_count
 from repro.core.heap import IndexedMinHeap
+from repro.core.vectorized import VectorizedCountSketch
 from repro.observability.registry import MetricsRegistry, get_registry
 
 #: Batches shorter than this take the per-item loop in
@@ -308,6 +309,10 @@ class TopKTracker:
     def from_state_dict(cls, state: dict[str, Any]) -> TopKTracker:
         """Rebuild a tracker serialized by :meth:`state_dict`.
 
+        The nested sketch is rebuilt as the class its state describes
+        (polynomial coefficients: :class:`CountSketch`; none:
+        :class:`~repro.core.vectorized.VectorizedCountSketch`).
+
         Raises:
             ValueError: if the heap holds more than ``k`` entries or the
                 nested sketch state fails its own validation.
@@ -319,9 +324,12 @@ class TopKTracker:
             raise ValueError(
                 f"heap holds {len(heap)} entries but k={state['k']}"
             )
+        sketch_state = state["sketch"]
+        sketch_type = (CountSketch if "bucket_coefficients" in sketch_state
+                       else VectorizedCountSketch)
         tracker = cls(
             state["k"],
-            sketch=CountSketch.from_state_dict(state["sketch"]),
+            sketch=sketch_type.from_state_dict(sketch_state),
             exact_heap_counts=state["exact_heap_counts"],
         )
         tracker._heap = heap

@@ -132,8 +132,7 @@ def _build_shard(
     else:
         sketch = CountSketch(task.depth, task.width, seed=task.seed)
         tracker = TopKTracker(task.candidates, sketch=sketch)
-        for item, count in counts.items():
-            tracker.update(item, count)
+        tracker.update_batch(list(counts), list(counts.values()))
         candidate_items = tuple(item for item, __ in tracker.top())
     return sketch, candidate_items
 

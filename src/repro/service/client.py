@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.countsketch import integral_weights
 from repro.hashing.vectorized import encode_keys
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
@@ -219,6 +220,8 @@ class TcpTransport:
         """
         if window < 1:
             raise ValueError("window must be at least 1")
+        if len(frames) == 1:
+            return [await self.request_bytes(frames[0])]
         responses: list[dict[str, Any]] = []
         async with self._lock:
             in_flight = asyncio.Semaphore(window)
@@ -296,6 +299,47 @@ class InProcessTransport:
         return None
 
 
+def unzip_records(
+    records: Iterable[tuple[Hashable, int]],
+) -> tuple[list[Hashable], list[int]]:
+    """Split ``(item, count)`` records into an item and a count column."""
+    pairs = list(records)
+    return [item for item, _ in pairs], [count for _, count in pairs]
+
+
+def ingest_columns(
+    items: Iterable[Hashable] | np.ndarray,
+    counts: Iterable[int] | np.ndarray | None,
+    *,
+    raw: bool,
+) -> tuple[np.ndarray | list[Hashable], np.ndarray]:
+    """One ingest batch as a key column and a checked int64 count column
+    (1 per item by default).  With ``raw`` the keys are the items'
+    uint64 ``encode_key`` images (a uint64 array passes as it is),
+    otherwise the items in a list.  A count the core's
+    :func:`~repro.core.countsketch.integral_weights` refuses raises
+    :class:`ServiceError` ``bad_request``; a key the wire cannot carry,
+    :class:`~repro.service.protocol.WireProtocolError`.
+    """
+    if not isinstance(items, np.ndarray):
+        items = list(items)
+    try:
+        weights = (np.ones(len(items), dtype=np.int64) if counts is None
+                   else integral_weights(counts, len(items)))
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ServiceError("bad_request",
+                           f"ingest counts refused: {error}") from None
+    if not raw:
+        return (items.tolist() if isinstance(items, np.ndarray)
+                else items), weights
+    try:
+        return encode_keys(items), weights
+    except TypeError:
+        for item in items:  # normalize_key names the unusable key type
+            normalize_key(item)
+        raise
+
+
 class AsyncServiceClient:
     """Async API over a transport; one method per protocol op.
 
@@ -353,94 +397,45 @@ class AsyncServiceClient:
             self._table_specs[table] = spec
         return spec
 
-    async def _build_frames(
+    def _build_frames(
         self,
         table: str,
-        pairs: list[tuple[Hashable, int]],
+        keys: np.ndarray | list[Hashable],
+        weights: np.ndarray,
         *,
         wait: bool,
-    ) -> list[tuple[bytes, list[tuple[Hashable, int]]]]:
-        """Pack one batch into binary ingest frames within the byte budget.
-
-        The table's spec picks the key layout the server accepts: raw
-        64-bit images, or packed keys for ``topk`` tables.  Only the
-        final frame carries ``wait``; the applier is FIFO per table, so
-        its application implies every earlier sub-batch applied too.
-        """
-        raw = not (await self._table_spec(table)).packed_keys
-        chunks: list[list[tuple[Hashable, int]]]
-        blobs: list[list[bytes]] = []
-        if raw:
-            capacity = binary_ingest_capacity(table)
-            chunks = [pairs[start:start + capacity]
-                      for start in range(0, len(pairs), capacity)] or [[]]
+    ) -> list[tuple[bytes, slice]]:
+        """Cut one batch's columns (see :func:`ingest_columns`) into
+        binary ingest frames within the byte budget, each with its index
+        range; ``topk`` items are packed here.  Only the final frame
+        carries ``wait``: the applier is FIFO per table."""
+        blocks: np.ndarray | list[bytes]
+        if isinstance(keys, np.ndarray):
+            step = binary_ingest_capacity(table)
+            cuts = [0, *range(step, len(keys), step), len(keys)]
+            blocks = keys
         else:
             # Packed keys are variable-size: fill greedily, leaving
             # generous headroom for the fixed header and length fields.
             budget = MAX_FRAME_BYTES - 4096
-            chunks = [[]]
-            blobs = [[]]
+            blocks = [pack_key(item) for item in keys]
+            cuts = [0]
             used = 0
-            for item, count in pairs:
-                blob = pack_key(item)
+            for index, blob in enumerate(blocks):
                 cost = len(blob) + 8
-                if chunks[-1] and used + cost > budget:
-                    chunks.append([])
-                    blobs.append([])
+                if index > cuts[-1] and used + cost > budget:
+                    cuts.append(index)
                     used = 0
-                chunks[-1].append((item, count))
-                blobs[-1].append(blob)
                 used += cost
-        frames: list[tuple[bytes, list[tuple[Hashable, int]]]] = []
-        for index, chunk in enumerate(chunks):
-            try:
-                weights = np.array([count for _, count in chunk],
-                                   dtype=np.int64)
-            except OverflowError:
-                # Refused here, before anything is enqueued: the
-                # server's counters are int64.
-                raise ServiceError(
-                    "bad_request",
-                    "ingest counts must fit in int64; counters are 64-bit",
-                ) from None
-            keys: np.ndarray | list[bytes]
-            if raw:
-                try:
-                    keys = np.ascontiguousarray(
-                        encode_keys([item for item, _ in chunk]),
-                        dtype=np.uint64,
-                    )
-                except TypeError:
-                    # Re-validate through normalize_key for a clear
-                    # boundary error naming the unusable key type.
-                    for item, _ in chunk:
-                        normalize_key(item)
-                    raise
-            else:
-                keys = blobs[index]
-            frames.append((
-                pack_binary_ingest(
-                    table,
-                    next(self._ids),
-                    keys,
-                    weights,
-                    raw=raw,
-                    wait=wait and index == len(chunks) - 1,
-                ),
-                chunk,
-            ))
-        return frames
-
-    async def _send_frames(
-        self,
-        frames: list[tuple[bytes, list[tuple[Hashable, int]]]],
-        *,
-        window: int = _DEFAULT_WINDOW,
-    ) -> list[dict[str, Any]]:
-        if len(frames) == 1:
-            return [await self._transport.request_bytes(frames[0][0])]
-        return await self._transport.request_stream(
-            [frame for frame, _ in frames], window=window)
+            cuts.append(len(blocks))
+        return [
+            (pack_binary_ingest(table, next(self._ids), blocks[start:stop],
+                                weights[start:stop],
+                                raw=isinstance(blocks, np.ndarray),
+                                wait=wait and stop == len(weights)),
+             slice(start, stop))
+            for start, stop in zip(cuts, cuts[1:])
+        ]
 
     async def ingest(
         self,
@@ -449,20 +444,9 @@ class AsyncServiceClient:
         *,
         wait: bool = False,
     ) -> int:
-        """Send one batch of ``(item, count)`` records; returns its
-        sequence number.  ``wait=True`` returns only after the batch is
-        applied (read-your-writes without a separate query).
-
-        Batches too large for one frame are split transparently (the
-        returned sequence number is the final sub-batch's).
-        """
-        pairs = [(item, int(count)) for item, count in records]
-        frames = await self._build_frames(table, pairs, wait=wait)
-        responses = await self._send_frames(frames)
-        last: dict[str, Any] = {}
-        for response in responses:
-            last = _raise_for_error(response)
-        return int(last["seq"])
+        """Send ``(item, count)`` records: :meth:`ingest_items` of their columns."""
+        return await self.ingest_items(table, *unzip_records(records),
+                                       wait=wait)
 
     async def ingest_many(
         self,
@@ -478,7 +462,8 @@ class AsyncServiceClient:
         Keeps up to ``window`` frames in flight so the server's applier
         never idles waiting on an ack round-trip.  ``wait=True`` places
         a read barrier behind the final frame, so a following query
-        reflects every acknowledged record.
+        reflects every acknowledged record.  Every batch is checked
+        before the first frame is sent.
 
         With ``retry_overloaded``, batches refused by a full queue are
         re-sent afterwards with a per-batch read barrier (natural
@@ -487,45 +472,63 @@ class AsyncServiceClient:
         commutes) but order-visible for ``topk``/``window`` tables;
         disable it there and handle :class:`OverloadedError` yourself.
         """
-        prepared = [
-            [(item, int(count)) for item, count in batch]
-            for batch in batches
+        raw = not (await self._table_spec(table)).packed_keys
+        columns = [ingest_columns(*unzip_records(batch), raw=raw)
+                   for batch in batches]
+        columns = [(keys, weights) for keys, weights in columns if len(weights)]
+        frames = [
+            (frame, keys[part], weights[part])
+            for index, (keys, weights) in enumerate(columns)
+            for frame, part in self._build_frames(
+                table, keys, weights,
+                wait=wait and index == len(columns) - 1)
         ]
-        prepared = [pairs for pairs in prepared if pairs]
-        if not prepared:
+        if not frames:
             return 0
-        frames: list[tuple[bytes, list[tuple[Hashable, int]]]] = []
-        for index, pairs in enumerate(prepared):
-            frames.extend(await self._build_frames(
-                table, pairs, wait=wait and index == len(prepared) - 1))
-        responses = await self._send_frames(frames, window=window)
+        responses = await self._transport.request_stream(
+            [frame for frame, _, _ in frames], window=window)
         acknowledged = 0
-        retry: list[list[tuple[Hashable, int]]] = []
-        for (_, pairs), response in zip(frames, responses, strict=True):
-            error = response.get("error")
-            if (
-                not response.get("ok")
-                and retry_overloaded
-                and isinstance(error, dict)
-                and error.get("code") == "overloaded"
-            ):
-                retry.append(pairs)
-                continue
-            _raise_for_error(response)
-            acknowledged += len(pairs)
-        for pairs in retry:
-            rebuilt = await self._build_frames(table, pairs, wait=True)
-            for response in await self._send_frames(rebuilt, window=window):
+        retry: list[tuple[np.ndarray | list[Hashable], np.ndarray]] = []
+        for (_, keys, weights), response in zip(frames, responses,
+                                                strict=True):
+            try:
                 _raise_for_error(response)
-            acknowledged += len(pairs)
+            except OverloadedError:
+                if not retry_overloaded:
+                    raise
+                retry.append((keys, weights))
+                continue
+            acknowledged += len(weights)
+        for keys, weights in retry:
+            await self.ingest_items(table, keys, weights, wait=True)
+            acknowledged += len(weights)
         return acknowledged
 
     async def ingest_items(
-        self, table: str, items: Iterable[Hashable], *, wait: bool = False
+        self,
+        table: str,
+        items: Iterable[Hashable] | np.ndarray,
+        counts: Iterable[int] | np.ndarray | None = None,
+        *,
+        wait: bool = False,
     ) -> int:
-        """Sugar: ingest plain items, each with count 1."""
-        return await self.ingest(table, ((item, 1) for item in items),
-                                 wait=wait)
+        """Send one batch of records ``(items[j], counts[j])``, each count
+        1 by default; returns its sequence number.  ``wait=True`` returns
+        only after the batch is applied (read-your-writes without a
+        separate query).  A bool, non-integral or out-of-range count
+        (outside ``±(2**63 - 1)``) raises :class:`ServiceError`
+        ``bad_request`` before anything is sent.  Batches too large for
+        one frame are split transparently (the returned sequence number
+        is the final sub-batch's).
+        """
+        raw = not (await self._table_spec(table)).packed_keys
+        keys, weights = ingest_columns(items, counts, raw=raw)
+        frames = self._build_frames(table, keys, weights, wait=wait)
+        last: dict[str, Any] = {}
+        for response in await self._transport.request_stream(
+                [frame for frame, _ in frames]):
+            last = _raise_for_error(response)
+        return int(last["seq"])
 
     async def estimate(
         self, table: str, items: Sequence[Hashable]

@@ -746,12 +746,18 @@ class SketchServer:
             if bool((weights == 0).any()):
                 raise _BadRequest("binary batch has a record with a "
                                   "zero count")
-            if not table.spec.allows_negative_counts and bool(
-                (weights < 0).any()
-            ):
+            lowest = int(weights.min())
+            if lowest < 0 and not table.spec.allows_negative_counts:
                 raise _BadRequest(
                     "binary batch has a record with a negative count; "
                     f"{table.spec.kind!r} tables are insert-only"
+                )
+            if lowest == -(1 << 63):
+                # The sketch refuses it, and a refusal inside the applier
+                # would stop the applier and hang every read barrier.
+                raise _BadRequest(
+                    "binary batch has a count of -2**63, outside the "
+                    "int64 range a sketch applies (int64 cannot negate it)"
                 )
         if frame.raw == table.spec.packed_keys:
             wanted = "packed keys" if frame.raw else "raw 64-bit key images"

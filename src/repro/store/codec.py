@@ -199,8 +199,12 @@ def _decode_sparse(
 
 
 def _encode_topk(tracker: TopKTracker) -> tuple[int, dict[str, Any], bytes]:
+    """The nested sketch's header is its state minus the counters, as
+    :func:`_encode_linear` writes it, so either hash family's fields
+    travel and :meth:`TopKTracker.from_state_dict` picks the class."""
     state = tracker.state_dict()
-    sketch_state = state["sketch"]
+    sketch_header = state["sketch"]
+    counters = sketch_header.pop("counters")
     header = {
         "k": state["k"],
         "exact_heap_counts": state["exact_heap_counts"],
@@ -209,19 +213,9 @@ def _encode_topk(tracker: TopKTracker) -> tuple[int, dict[str, Any], bytes]:
             [encode_item(item), priority]
             for item, priority in state["heap"]
         ],
-        "sketch": {
-            "depth": sketch_state["depth"],
-            "width": sketch_state["width"],
-            "seed": sketch_state["seed"],
-            "total_weight": sketch_state["total_weight"],
-            "bucket_coefficients": sketch_state["bucket_coefficients"],
-            "sign_coefficients": sketch_state["sign_coefficients"],
-        },
+        "sketch": sketch_header,
     }
-    return (
-        TYPE_CODES["topk"], header,
-        _counters_payload(sketch_state["counters"]),
-    )
+    return TYPE_CODES["topk"], header, _counters_payload(counters)
 
 
 def _decode_topk(header: dict[str, Any], payload: bytes) -> TopKTracker:
@@ -231,10 +225,9 @@ def _decode_topk(header: dict[str, Any], payload: bytes) -> TopKTracker:
     sketch_header = header["sketch"]
     if not isinstance(sketch_header, dict):
         raise SnapshotFormatError("topk sketch header must be an object")
-    _require_fields(
-        sketch_header, "depth", "width", "seed", "total_weight",
-        "bucket_coefficients", "sign_coefficients",
-    )
+    _require_fields(sketch_header, "depth", "width", "seed", "total_weight")
+    if "bucket_coefficients" in sketch_header:
+        _require_fields(sketch_header, "sign_coefficients")
     counters, end = _counters_from(
         payload, 0, sketch_header["depth"], sketch_header["width"]
     )

@@ -317,16 +317,15 @@ class TrafficRunner:
         await client.create_table(table_spec)
         rng = random.Random(f"{spec.seed}:probe")
         universe = spec.tenants * spec.keys_per_tenant
-        records = [(rng.randrange(universe), 1)
-                   for _ in range(_PROBE_RECORDS)]
+        items = [rng.randrange(universe) for _ in range(_PROBE_RECORDS)]
         # Chunked so each batch fits under modest quota bursts; every
         # chunk carries the read barrier (a probe measures exactness,
         # not ingest speed).
-        for start in range(0, len(records), _PROBE_CHUNK):
-            chunk = records[start:start + _PROBE_CHUNK]
+        for start in range(0, len(items), _PROBE_CHUNK):
+            chunk = items[start:start + _PROBE_CHUNK]
             for attempt in range(_PROBE_RETRIES + 1):
                 try:
-                    await client.ingest(name, chunk, wait=True)
+                    await client.ingest_items(name, chunk, wait=True)
                     break
                 except QuotaExceededError as error:
                     if attempt == _PROBE_RETRIES:
@@ -336,9 +335,8 @@ class TrafficRunner:
                         float(retry_after)
                         if retry_after is not None else 0.05)
         mirror = table_spec.build()
-        apply_update_batch(mirror, [item for item, _ in records],
-                          [count for _, count in records])
-        present = list(dict.fromkeys(item for item, _ in records))
+        apply_update_batch(mirror, items, [1] * len(items))
+        present = list(dict.fromkeys(items))
         absent = [universe + index for index in range(8)]
         keys = present[:_PROBE_KEYS] + absent
         expected = [float(mirror.estimate(key)) for key in keys]
@@ -358,7 +356,7 @@ class TrafficRunner:
         await client.drop_table(name)
         return {
             "table": name,
-            "records": len(records),
+            "records": len(items),
             "keys_checked": len(keys),
             "keys_exact": exact,
             "bit_equal": exact == len(keys),

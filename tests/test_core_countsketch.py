@@ -298,6 +298,43 @@ class TestIntegralCounts:
         assert not sketch.counters.any()
         assert sketch.total_weight == 0
 
+    @pytest.mark.parametrize("sketch_type", [CountSketch, VectorizedCountSketch])
+    @pytest.mark.parametrize("count", [2**63, -(2**63), 2**70])
+    def test_update_refuses_weights_outside_int64_before_any_row_moves(
+            self, sketch_type, count):
+        # "e" has row signs (-1, -1, +1) on the polynomial family: a
+        # 2**63 update used to move two rows, then overflow on the third.
+        sketch = sketch_type(3, 16, seed=1)
+        sketch.update("b", 4)
+        before = sketch.counters.copy()
+        for item in ("e", "c", "a"):
+            with pytest.raises(OverflowError, match="int64"):
+                sketch.update(item, count)
+        assert np.array_equal(sketch.counters, before)
+        assert sketch.total_weight == 4
+
+    def test_update_refuses_2_63_on_an_all_negative_key(self):
+        # Every row of "c" has sign -1, so each counter would have taken
+        # -2**63 and the update used to be accepted whole.
+        sketch = CountSketch(3, 16, seed=1)
+        with pytest.raises(OverflowError):
+            sketch.update("c", 2**63)
+        assert sketch.total_weight == 0
+        assert not sketch.counters.any()
+
+    @pytest.mark.parametrize("sketch_type", [CountSketch, VectorizedCountSketch])
+    @pytest.mark.parametrize("method", ["update_batch", "update_batch_estimates"])
+    @pytest.mark.parametrize("weights", [[-(2**63)],
+                                         np.asarray([1, -(2**63)], dtype=np.int64)])
+    def test_batch_refuses_minus_2_63(self, sketch_type, method, weights):
+        # -2**63 fits int64 but its negation does not: rows of sign -1
+        # used to wrap it to -2**63 instead of adding 2**63.
+        sketch = sketch_type(3, 16, seed=1)
+        with pytest.raises(OverflowError, match="int64"):
+            getattr(sketch, method)(["a", "b"][:len(weights)], weights)
+        assert not sketch.counters.any()
+        assert sketch.total_weight == 0
+
     def test_batch_normalizes_integral_weights(self):
         sketch = CountSketch(3, 16, seed=1)
         sketch.update_batch(["a", "b"], [2.0, np.int64(3)])

@@ -22,6 +22,25 @@ class TestBasics:
         with pytest.raises(ValueError):
             SparseCountSketch(3, 0)
 
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf")])
+    def test_non_integral_count_refused(self, bad):
+        sketch = SparseCountSketch(3, 16, seed=1)
+        sketch.update("b", 2)
+        with pytest.raises(ValueError, match="integral"):
+            sketch.update("a", bad)
+        with pytest.raises(TypeError):
+            sketch.update("a", True)
+        reference = CountSketch(3, 16, seed=1)
+        reference.update("b", 2)
+        assert sketch.to_dense() == reference
+        assert sketch.total_weight == 2
+
+    def test_integral_counts_of_other_types_become_ints(self):
+        sketch = SparseCountSketch(3, 16, seed=1)
+        sketch.update("a", 2.0)  # repro: noqa-RS005 — integral float count
+        assert type(sketch.total_weight) is int
+        assert sketch.estimate("a") == 2.0
+
     def test_roundtrip(self):
         sketch = SparseCountSketch(5, 1 << 16, seed=0)
         sketch.update("x", 9)

@@ -228,6 +228,20 @@ class TestEndToEnd:
         assert t1.sketch == t2.sketch
 
 
+class TestStateDict:
+    @pytest.mark.parametrize("sketch_type", [CountSketch, VectorizedCountSketch])
+    def test_round_trip_keeps_the_sketch_class(self, sketch_type):
+        tracker = TopKTracker(3, sketch=sketch_type(3, 32, seed=4))
+        tracker.update_batch([f"q{i % 7}" for i in range(50)])
+        restored = TopKTracker.from_state_dict(tracker.state_dict())
+        assert type(restored.sketch) is sketch_type
+        assert restored.sketch == tracker.sketch
+        assert restored.top() == tracker.top()
+        tracker.update("q1", 5)
+        restored.update("q1", 5)
+        assert _state(restored) == _state(tracker)
+
+
 def _state(tracker):
     """Everything the batch path must reproduce, with types and bits."""
     state = tracker.state_dict()

@@ -17,7 +17,12 @@ import pytest
 
 import repro.service.client as client_module
 import repro.service.protocol as protocol_module
-from repro.service.client import AsyncServiceClient, ServiceError
+from repro.service.client import (
+    AsyncServiceClient,
+    ServiceError,
+    ingest_columns,
+    unzip_records,
+)
 from repro.service.protocol import (
     WireProtocolError,
     pack_binary_ingest,
@@ -204,8 +209,9 @@ class TestAutoSplit:
             server = SketchServer([spec])
             client = AsyncServiceClient.in_process(server)
             pairs = [(i % 100, 1) for i in range(5000)]
-            frames = await client._build_frames(
-                spec.name, pairs, wait=True)
+            keys, weights = ingest_columns(*unzip_records(pairs), raw=True)
+            frames = client._build_frames(spec.name, keys, weights,
+                                          wait=True)
             assert len(frames) > 1
             offline = spec.build()
             await client.ingest(spec.name, pairs, wait=True)
@@ -227,8 +233,9 @@ class TestAutoSplit:
             client = AsyncServiceClient.in_process(server)
             pairs = [(f"query-{i % 30}-" + "x" * 40, 1)
                      for i in range(2000)]
-            frames = await client._build_frames(
-                spec.name, pairs, wait=True)
+            items, counts = ingest_columns(*unzip_records(pairs), raw=False)
+            frames = client._build_frames(spec.name, items, counts,
+                                          wait=True)
             assert len(frames) > 1
             offline = spec.build()
             await client.ingest(spec.name, pairs, wait=True)
@@ -288,6 +295,32 @@ class TestBinaryIngestValidation:
                 assert "int64" in excinfo.value.message
             await client.ingest(spec.name, [("ok", 2**62)], wait=True)
             assert await client.estimate(spec.name, ["ok"]) == [float(2**62)]
+            await server.stop()
+
+        run(go())
+
+    @pytest.mark.parametrize("kind", ["sketch", "vectorized"])
+    def test_count_minus_2_63_refused_server_side(self, kind):
+        # -2**63 fits a wire weight but not a sketch update (int64 cannot
+        # negate it).  Taken into the queue, it would stop the applier
+        # and hang every read barrier behind it; the client refuses it
+        # too, so a foreign frame carries it here.
+        async def go():
+            spec = spec_for(kind)
+            server = SketchServer([spec])
+            frame = pack_binary_ingest(
+                spec.name, 1, np.array([7], dtype=np.uint64),
+                np.array([-(2**63)], dtype=np.int64), raw=True, wait=True)
+            response = await server.dispatch_binary(unpack_frame(frame))
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad_request"
+            assert "int64" in response["error"]["message"]
+            assert server.tables[spec.name].enqueued_seq == 0
+            client = AsyncServiceClient.in_process(server)
+            low = -(2**63 - 1)
+            await asyncio.wait_for(
+                client.ingest(spec.name, [(7, low)], wait=True), timeout=30)
+            assert await client.estimate(spec.name, [7]) == [float(low)]
             await server.stop()
 
         run(go())

@@ -275,7 +275,7 @@ class TestQueryQuota:
     def test_queries_charged_and_refused(self):
         async def go():
             registry = MetricsRegistry()
-            limits = ServiceLimits(query_rate=1000.0, query_burst=2)
+            limits = ServiceLimits(query_rate=1.0, query_burst=2)
             server = SketchServer([spec_for()], limits=limits,
                                   registry=registry)
             client = AsyncServiceClient.in_process(server)

@@ -66,6 +66,13 @@ def build_topk(items):
     return tracker
 
 
+def build_topk_vectorized(items):
+    tracker = TopKTracker(4, sketch=VectorizedCountSketch(3, 16, seed=5))
+    for item in items:
+        tracker.update(item)
+    return tracker
+
+
 def build_window(items):
     window = JumpingWindowSketch(24, buckets=4, depth=3, width=16, seed=5)
     for item in items:
@@ -78,6 +85,7 @@ BUILDERS = [
     pytest.param(build_sparse, id="sparse"),
     pytest.param(build_vectorized, id="vectorized"),
     pytest.param(build_topk, id="topk"),
+    pytest.param(build_topk_vectorized, id="topk-vectorized"),
     pytest.param(build_window, id="window"),
 ]
 
