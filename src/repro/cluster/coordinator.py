@@ -236,10 +236,14 @@ class ClusterCoordinator:
         """Route one batch of records ``(items[j], counts[j])`` (each
         count 1 by default) to its shards; returns the records routed.
 
-        Counts are checked and keys encoded once, here, before any shard
-        is sent anything.  The u64 images drive jump-hash routing; a shard
-        gets ``keys[positions]`` (on ``topk`` tables, whose heaps store
-        items, the items picked) with ``counts[positions]``.
+        Counts are checked once, here, against the core's weight range
+        and the table's count rule (the one the shards apply:
+        :meth:`~repro.service.tables.TableSpec.check_counts`), and keys
+        encoded once, before any shard is sent anything, so a refused
+        batch leaves every shard untouched.  The u64 images drive
+        jump-hash routing; a shard gets ``keys[positions]`` (on ``topk``
+        tables, whose heaps store items, the items picked) with
+        ``counts[positions]``.
 
         ``wait=True`` acknowledges only after every routed sub-batch is
         *applied* on its shard — the cluster-wide read barrier.
@@ -255,11 +259,12 @@ class ClusterCoordinator:
         """
         if not isinstance(items, np.ndarray):
             items = list(items)
-        keys, weights = ingest_columns(items, counts, raw=True)
+        spec = await self._table_spec(table)
+        keys, weights = ingest_columns(items, counts, spec, raw=True)
         assert isinstance(keys, np.ndarray)  # raw columns are key images
         if not keys.size:
             return 0
-        packed = (await self._table_spec(table)).packed_keys
+        packed = spec.packed_keys
         calls = []
         for shard, positions in enumerate(partition_keys(keys,
                                                          self.n_shards)):

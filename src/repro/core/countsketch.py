@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from collections import Counter
 from fractions import Fraction
 from collections.abc import Hashable, Iterable, Mapping, Sequence
@@ -67,10 +66,29 @@ _MAX_WEIGHT = (1 << 63) - 1
 
 _NO_METRIC = NullRegistry().counter("")
 
-#: A hash family's rows: each evaluates one key in Python ints
-#: (``positions``) or a uint64 key array in NumPy (``positions_array``)
-#: to the same bucket indices and signs, and compares equal only to rows
-#: of identical functions, the §3.2 condition for adding sketches.
+
+def _median(rows: list[float]) -> float:
+    """The median of a key's row readouts, taken as ``statistics.median``
+    takes it: sort (in place), then the middle value, or the mean of the
+    middle two for an even depth."""
+    rows.sort()
+    middle = len(rows) // 2
+    if len(rows) % 2:
+        return rows[middle]
+    return (rows[middle - 1] + rows[middle]) / 2
+
+
+def _wrapped(value: int) -> int:
+    """``value`` reduced into int64 mod ``2**64``, as NumPy's int64
+    addition wraps a counter that leaves the range."""
+    return ((value + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
+
+
+#: A hash family's rows: each evaluates one key in Python ints to its
+#: signed cells (``positions``) or a uint64 key array in NumPy to bucket
+#: and sign arrays (``positions_array``), the same hashes either way, and
+#: compares equal only to rows of identical functions, the §3.2
+#: condition for adding sketches.
 RowHashes = PolynomialRowHashes | VectorizedRowHashes
 
 
@@ -162,14 +180,24 @@ class _SketchMetrics:
 class CountSketch:
     """A Count Sketch with ``depth`` rows of ``width`` counters each.
 
-    Every path comes twice: per item (``update``, ``estimate``,
-    ``row_values``), with a position cache for repeated items, and per
-    batch (``update_batch``, ``estimate_batch``, ``row_values_batch``),
-    hashing a whole key array in NumPy.  Both give identical counters
-    and answers.  The hash family is the one part that varies: this
-    class uses the paper's pairwise polynomial family;
+    Every path comes twice: per item (``update``, ``update_estimate``,
+    ``estimate``, ``row_values``), with a position cache for repeated
+    items, and per batch (``update_batch``, ``update_batch_estimates``,
+    ``estimate_batch``, ``row_values_batch``), hashing a whole key array
+    in NumPy.  Both give identical counters and answers.  The hash family
+    is the one part that varies: this class uses the paper's pairwise
+    polynomial family;
     :class:`~repro.core.vectorized.VectorizedCountSketch` selects
     multiply-shift.
+
+    The per-item paths address the counters as one flat run of cells
+    (row ``i``, bucket ``b`` is cell ``i * width + b``) through an int64
+    view of the counter array, so each row's counter is read and written
+    as a Python int.  A key's cache entry is its *signed cells*, one per
+    row: the cell itself where the row's sign is ``+1``, its complement
+    ``~cell`` (``-cell - 1``) where it is ``-1``.  A counter pushed past
+    the int64 range wraps mod ``2**64`` on every path, as NumPy's int64
+    addition wraps it.
 
     Args:
         depth: number of hash-table rows ``t``.  Use an odd value so the
@@ -191,6 +219,7 @@ class CountSketch:
         "_seed",
         "_rows",
         "_counters",
+        "_cells",
         "_total_weight",
         "_position_cache",
         "_metrics",
@@ -257,14 +286,32 @@ class CountSketch:
         self._width = rows.width
         self._seed = seed
         self._rows = rows
-        self._counters = np.zeros((self._depth, self._width), dtype=np.int64)
+        self._set_counters(np.zeros((self._depth, self._width), dtype=np.int64))
         self._total_weight = 0
-        self._position_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._position_cache: dict[int, tuple[int, ...]] = {}
         registry = get_registry()
         self._metrics = (
             _SketchMetrics(registry, self._METRIC_NAMES)
             if registry.enabled else None
         )
+
+    def _set_counters(self, counters: np.ndarray) -> None:
+        """Make the C-ordered int64 ``counters`` the sketch's counter
+        array, and ``_cells`` a flat int64 view of the same buffer (the
+        per-item paths' cells)."""
+        self._counters = counters
+        self._cells = memoryview(counters).cast("B").cast("q")
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A memoryview cannot be pickled or deep-copied; __setstate__
+        # rebuilds ``_cells`` over the restored counters.
+        return {name: getattr(self, name) for name in CountSketch.__slots__
+                if name != "_cells"}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._set_counters(self._counters)
 
     # -- basic properties ---------------------------------------------------
 
@@ -305,24 +352,24 @@ class CountSketch:
 
     # -- hashing ------------------------------------------------------------
 
-    def _positions(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Return (bucket indices, signs), one per row, for encoded ``key``."""
+    def _signed_cells(self, item: Hashable) -> tuple[int, ...]:
+        """``item``'s signed cells (see the class notes): one encode and
+        one position-cache lookup, counted as a hit or a miss."""
+        key = encode_key(item)
+        cells = self._position_cache.get(key)
         metrics = self._metrics
-        cached = self._position_cache.get(key)
-        if cached is not None:
+        if cells is None:
             if metrics is not None:
-                metrics.cache_hits.inc()
-            return cached
-        if metrics is not None:
-            metrics.cache_misses.inc()
-        positions = self._rows.positions(key)
-        self._remember(key, positions)
-        return positions
+                metrics.cache_misses.inc()
+            cells = self._rows.positions(key)
+            self._remember(key, cells)
+        elif metrics is not None:
+            metrics.cache_hits.inc()
+        return cells
 
-    def _remember(self, key: int,
-                  positions: tuple[tuple[int, ...], tuple[int, ...]]) -> None:
-        """Cache ``key``'s positions, first evicting the oldest entries
-        if the cache is full."""
+    def _remember(self, key: int, cells: tuple[int, ...]) -> None:
+        """Cache ``key``'s signed cells, first evicting the oldest
+        entries if the cache is full."""
         cache = self._position_cache
         if len(cache) >= _POSITION_CACHE_LIMIT:
             evict = max(1, _POSITION_CACHE_LIMIT >> _POSITION_CACHE_EVICT_SHIFT)
@@ -330,23 +377,24 @@ class CountSketch:
                 del cache[stale]
             if self._metrics is not None:
                 self._metrics.cache_evictions.inc(evict)
-        cache[key] = positions
+        cache[key] = cells
 
-    def _remember_batch(self, keys: np.ndarray, buckets: np.ndarray,
+    def _remember_batch(self, keys: np.ndarray, cells: np.ndarray,
                         signs: np.ndarray) -> None:
-        """Cache the positions of the batch ``keys`` not cached yet,
-        from their ``(depth, n)`` hashed arrays; no lookup is counted."""
+        """Cache the signed cells of the batch ``keys`` not cached yet,
+        from their ``(depth, n)`` cell and sign arrays; no lookup is
+        counted."""
         cache = self._position_cache
         key_list = keys.tolist()
         fresh = [j for j, key in enumerate(key_list) if key not in cache]
         if not fresh:
             return
+        signed = np.where(signs[:, fresh] > 0, cells[:, fresh], ~cells[:, fresh])
         # Key by key, as ``positions`` builds them, so each entry's ints
         # are allocated together rather than row by row.
-        for j, row_buckets, row_signs in zip(fresh, buckets[:, fresh].T.tolist(),
-                                             signs[:, fresh].T.tolist(), strict=True):
+        for j, row_cells in zip(fresh, signed.T.tolist(), strict=True):
             if key_list[j] not in cache:  # repeated within the batch
-                self._remember(key_list[j], (tuple(row_buckets), tuple(row_signs)))
+                self._remember(key_list[j], tuple(row_cells))
 
     # -- updates ------------------------------------------------------------
 
@@ -366,16 +414,75 @@ class CountSketch:
             count = integral_count(count)
         if count > _MAX_WEIGHT or count < -_MAX_WEIGHT:
             raise OverflowError("weight does not fit int64")
-        key = encode_key(item)
-        buckets, signs = self._positions(key)
-        counters = self._counters
-        for row in range(self._depth):
-            counters[row, buckets[row]] += signs[row] * count
+        self._add(item, count)
+
+    def _add(self, item: Hashable, count: int) -> None:
+        """``ADD`` one record whose ``count`` is already checked."""
+        cells = self._cells
+        down = -count
+        for cell in self._signed_cells(item):
+            if cell < 0:
+                cell = ~cell
+                value = cells[cell] + down
+            else:
+                value = cells[cell] + count
+            try:
+                cells[cell] = value
+            except ValueError:  # past int64
+                cells[cell] = _wrapped(value)
         self._total_weight += count
         metrics = self._metrics
         if metrics is not None:
             metrics.updates.inc()
             metrics.update_batches.inc()
+
+    def update_estimate(self, item: Hashable, count: int = 1) -> float:
+        """Apply ``ADD`` with weight ``count``, then return
+        ``ESTIMATE(C, item)``: APPROXTOP's loop body (§3.2) in one step.
+
+        The one-record twin of :meth:`update_batch_estimates`: the
+        result equals ``update(item, count)`` followed by
+        ``estimate(item)``, bit for bit, and so do the counters and the
+        update and estimate counts, but the key is encoded and looked up
+        once.
+
+        Raises:
+            ValueError: if ``count`` is not integral; the sketch is left
+                unchanged.
+            OverflowError: if ``count`` lies outside
+                ``[-(2**63 - 1), 2**63 - 1]``; the sketch is left unchanged.
+        """
+        if type(count) is not int:
+            count = integral_count(count)
+        if count > _MAX_WEIGHT or count < -_MAX_WEIGHT:
+            raise OverflowError("weight does not fit int64")
+        return self._add_estimate(item, count)
+
+    def _add_estimate(self, item: Hashable, count: int) -> float:
+        """:meth:`update_estimate` of a ``count`` already checked."""
+        cells = self._cells
+        down = -count
+        rows: list[float] = []
+        for cell in self._signed_cells(item):
+            if cell < 0:
+                cell = ~cell
+                value = cells[cell] + down
+                sign = -1.0
+            else:
+                value = cells[cell] + count
+                sign = 1.0
+            try:
+                cells[cell] = value
+            except ValueError:  # past int64
+                cells[cell] = value = _wrapped(value)
+            rows.append(float(value) * sign)
+        self._total_weight += count
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.updates.inc()
+            metrics.update_batches.inc()
+            metrics.estimates.inc()
+        return _median(rows)
 
     def update_batch(
         self,
@@ -459,14 +566,15 @@ class CountSketch:
         for start in range(0, keys.size, _BATCH_SLICE):
             part = slice(start, start + _BATCH_SLICE)
             buckets, signs = self._rows.positions_array(keys[part])
-            self._remember_batch(keys[part], buckets, signs)
+            row_cells = buckets + row_starts
+            self._remember_batch(keys[part], row_cells, signs)
             steps = signs if weights_arr is None else signs * weights_arr[part]
             # A stable sort of each row lines up every counter's updates
             # in stream order; ``order`` indexes the raveled rows.
             order = np.argsort(buckets.astype(bucket_type), axis=1, kind="stable")
             order += np.arange(0, buckets.size, buckets.shape[1])[:, None]
             order = order.ravel()
-            cells = (buckets + row_starts).ravel()[order]
+            cells = row_cells.ravel()[order]
             steps = steps.ravel()[order]
             running = np.cumsum(steps)
             # Each counter's run of updates starts where ``cells`` changes.
@@ -503,7 +611,12 @@ class CountSketch:
 
     def _count_batch(self, size: int, weights: np.ndarray | None) -> None:
         """Add an applied batch to ``total_weight`` and the metrics."""
-        self._total_weight += size if weights is None else int(weights.sum())
+        if weights is None:
+            self._total_weight += size
+        elif size * max(int(weights.max()), -int(weights.min())) <= _MAX_WEIGHT:
+            self._total_weight += int(weights.sum())
+        else:  # the int64 sum could wrap: add exactly, as per-item updates do
+            self._total_weight += sum(weights.tolist())
         metrics = self._metrics
         if metrics is not None:
             metrics.updates.inc(size)
@@ -531,30 +644,22 @@ class CountSketch:
         With odd ``depth`` the result is an integer-valued float; with even
         ``depth`` the standard midpoint-average median is used.
         """
-        key = encode_key(item)
-        buckets, signs = self._positions(key)
-        counters = self._counters
-        row_estimates = [
-            float(counters[row, buckets[row]]) * signs[row]
-            for row in range(self._depth)
-        ]
+        rows = self.row_estimates(item)
         if self._metrics is not None:
             self._metrics.estimates.inc()
-        return statistics.median(row_estimates)
+        return _median(rows)
 
     def row_estimates(self, item: Hashable) -> list[float]:
         """Return the ``depth`` individual per-row estimates for ``item``.
 
-        Exposed for the estimator ablation (median vs mean, experiment A1)
-        and for the variance experiments.
+        Row ``i`` reads ``float(counters[i][h_i(q)]) * s_i(q)``, so a zero
+        counter under a ``-1`` sign reads ``-0.0``.  Exposed for the
+        estimator ablation (median vs mean, experiment A1) and for the
+        variance experiments.
         """
-        key = encode_key(item)
-        buckets, signs = self._positions(key)
-        counters = self._counters
-        return [
-            float(counters[row, buckets[row]]) * signs[row]
-            for row in range(self._depth)
-        ]
+        cells = self._cells
+        return [float(cells[cell]) if cell >= 0 else -float(cells[~cell])
+                for cell in self._signed_cells(item)]
 
     def row_values(self, item: Hashable) -> list[int]:
         """Return the per-row *signed counter readouts* for ``item`` as ints.
@@ -566,13 +671,9 @@ class CountSketch:
         coordinator can add per-shard row values and take one median,
         bit-equal to querying the merged sketch.
         """
-        key = encode_key(item)
-        buckets, signs = self._positions(key)
-        counters = self._counters
-        return [
-            int(counters[row, buckets[row]]) * signs[row]
-            for row in range(self._depth)
-        ]
+        cells = self._cells
+        return [cells[cell] if cell >= 0 else -cells[~cell]
+                for cell in self._signed_cells(item)]
 
     def row_values_batch(
         self, items: Iterable[Hashable] | np.ndarray
@@ -665,7 +766,7 @@ class CountSketch:
     def _with_counters(self, counters: np.ndarray, total: int) -> CountSketch:
         clone = object.__new__(type(self))
         clone._start(self._rows, self._seed)
-        clone._counters = counters
+        clone._set_counters(counters)
         clone._total_weight = total
         return clone
 
@@ -856,9 +957,9 @@ class CountSketch:
         return sketch
 
     def _load_counts(self, state: dict[str, Any]) -> None:
-        self._counters = coerce_counter_array(
+        self._set_counters(coerce_counter_array(
             state["counters"], self._depth, self._width
-        )
+        ))
         self._total_weight = state["total_weight"]
 
     def __repr__(self) -> str:

@@ -29,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.countsketch import CountSketch, integral_count
+from repro.core.countsketch import _MAX_WEIGHT, CountSketch, integral_count
 from repro.core.heap import IndexedMinHeap
 from repro.core.vectorized import VectorizedCountSketch
 from repro.observability.registry import MetricsRegistry, get_registry
@@ -37,12 +37,13 @@ from repro.observability.registry import MetricsRegistry, get_registry
 #: Batches shorter than this take the per-item loop in
 #: :meth:`TopKTracker.update_batch`: the batch step's fixed NumPy cost
 #: only pays off above it.  Measured on the applies of a served ``topk``
-#: table (depth 5, width 1024, Zipf(1.1) int keys, queries running
-#: alongside, one of 2 shared vCPUs), median per apply: the loop took
-#: 131/165/202/211/219/237 µs at 12/16/20/21/22/24 records, the batch
-#: step 191/198/209/213/214/223 µs; on ~1000-record applies the loop
-#: cost 8.8 µs per record and the batch step 1.5 µs.
-_BATCH_CROSSOVER = 22
+#: table (depth 5, width 1024, Zipf(1.1) int keys, metrics on, an
+#: estimate after each apply, one of 2 shared vCPUs), the loop and the
+#: batch step taking turns apply by apply, median of 300 applies each:
+#: the loop took 65/121/146/187/298/350 µs at 8/16/24/32/48/64 records,
+#: the batch step 185/249/225/246/333/308 µs; a second run (other keys)
+#: had them level at 48-56 records (367/315 µs against 352/320 µs).
+_BATCH_CROSSOVER = 48
 
 
 class _TrackerMetrics:
@@ -133,33 +134,43 @@ class TopKTracker:
         Raises:
             ValueError: if ``count`` is not a positive integer (``2.0``
                 counts as ``2``); the tracker is left unchanged.
+            OverflowError: if ``count`` does not fit an int64 counter;
+                the tracker is left unchanged.
         """
         if type(count) is not int:
             count = integral_count(count)
         if count < 1:
             raise ValueError("count must be a positive number of occurrences")
-        self._sketch.update(item, count)
-        self._items_processed += count
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.updates.inc()
+        if count > _MAX_WEIGHT:
+            raise OverflowError("count does not fit an int64 counter")
+        self._step(item, count)
+
+    def _step(self, item: Hashable, count: int) -> None:
+        """The §3.2 loop body for a checked ``count``.
+
+        The sketch never depends on the heap, so heap membership is
+        tested first, and the sketch step reads the estimate only when
+        the heap needs one: one key encoding and one position lookup
+        per record either way.
+        """
+        sketch = self._sketch
         heap = self._heap
+        metrics = self._metrics
         if item in heap:
             if self._exact_heap_counts:
+                sketch._add(item, count)
                 heap.add_to(item, count)
                 if metrics is not None:
                     metrics.exact_increments.inc()
             else:
-                heap.update(item, self._sketch.estimate(item))
-            return
-        estimate = self._sketch.estimate(item)
-        if len(heap) < self._k:
-            heap.push(item, estimate)
-            if metrics is not None:
-                metrics.admissions.inc()
+                heap.update(item, sketch._add_estimate(item, count))
         else:
-            __, smallest = heap.min()
-            if estimate > smallest:
+            estimate = sketch._add_estimate(item, count)
+            if len(heap) < self._k:
+                heap.push(item, estimate)
+                if metrics is not None:
+                    metrics.admissions.inc()
+            elif estimate > heap.min()[1]:
                 heap.pop_min()
                 heap.push(item, estimate)
                 if metrics is not None:
@@ -167,6 +178,9 @@ class TopKTracker:
                     metrics.evictions.inc()
             elif metrics is not None:
                 metrics.rejections.inc()
+        self._items_processed += count
+        if metrics is not None:
+            metrics.updates.inc()
 
     def update_batch(
         self,
@@ -214,11 +228,12 @@ class TopKTracker:
             if count_list and min(count_list) < 1:
                 raise ValueError(
                     "count must be a positive number of occurrences")
-            if count_list and max(count_list) >= 1 << 63:
+            if count_list and max(count_list) > _MAX_WEIGHT:
                 raise OverflowError("count does not fit an int64 counter")
         if len(records) < _BATCH_CROSSOVER:
+            step = self._step
             for item, count in zip(records, count_list, strict=True):
-                self.update(item, count)
+                step(item, count)
             return
         estimates = self._sketch.update_batch_estimates(
             items if isinstance(items, np.ndarray) else records,

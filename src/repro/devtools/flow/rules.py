@@ -129,6 +129,7 @@ def _node_value_names(node: FlowNode) -> frozenset[str]:
 _RACE_ATTRS = frozenset(
     {
         "_counters",
+        "_cells",
         "_rows",
         "_table",
         "_total_weight",

@@ -8,10 +8,10 @@ that no general-purpose linter knows about:
   generator (``random.Random(seed)`` / ``np.random.default_rng(seed)``)
   or reproducibility is silently lost.
 * **RS002 counter-mutation** — direct mutation of a sketch's counter /
-  state arrays (``_counters``, ``_rows``, ``_table``, ``_total_weight``,
-  or the public read-only views) on another object outside
-  ``repro.core``.  Counters are int64 by invariant and only the core
-  update paths may touch them.
+  state arrays (``_counters`` and its flat view ``_cells``, ``_rows``,
+  ``_table``, ``_total_weight``, or the public read-only views) on
+  another object outside ``repro.core``.  Counters are int64 by
+  invariant and only the core update paths may touch them.
 * **RS003 metrics-lookup** — metrics-registry lookups (``.counter()`` /
   ``.gauge()`` / ``.histogram()`` / ``.timed()``) outside ``__init__`` /
   construction paths.  The PR-2 convention captures handles once at
@@ -322,7 +322,7 @@ def _is_suppressed(
 #: buckets, and the doorkeeper bit array.
 _STATE_ATTRS = frozenset(
     {
-        "_counters", "_rows", "_table", "_total_weight", "counters",
+        "_counters", "_cells", "_rows", "_table", "_total_weight", "counters",
         "table", "_window_lru", "_probation", "_protected", "_lru_order",
         "_freq_buckets", "_key_freq", "_door_bits",
     }
@@ -331,7 +331,7 @@ _STATE_ATTRS = frozenset(
 #: Private state attributes whose *read* outside repro.core is RS004.
 _PRIVATE_STATE_ATTRS = frozenset(
     {
-        "_counters", "_rows", "_table", "_total_weight", "_window_lru",
+        "_counters", "_cells", "_rows", "_table", "_total_weight", "_window_lru",
         "_probation", "_protected", "_lru_order", "_freq_buckets",
         "_key_freq", "_door_bits",
     }
@@ -416,7 +416,7 @@ _SERIALIZER_FUNCS: dict[str, frozenset[str]] = {
 #: Attribute names that mark an expression as sketch state (RS006): the
 #: counter arrays (private and public views) and the state_dict() export.
 _SERIALIZED_STATE_ATTRS = frozenset(
-    {"_counters", "counters", "_rows", "_table", "table"}
+    {"_counters", "_cells", "counters", "_rows", "_table", "table"}
 )
 
 #: Module-level blocking entry points flagged inside ``async def`` bodies

@@ -56,6 +56,8 @@ def encode_key(item: Hashable) -> int:
     Raises:
         TypeError: for unsupported key types.
     """
+    if type(item) is int:  # the common case, ahead of the bool test
+        return item & _MASK_64
     if isinstance(item, (bool, np.bool_)):
         return int(item)
     if isinstance(item, (int, np.integer)):

@@ -234,18 +234,24 @@ class PolynomialRowHashes:
         """Buckets per row."""
         return self._width
 
-    def positions(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per-row bucket indices and ±1 signs of one encoded key."""
-        pairs = self._pairwise
-        if pairs is None:
-            return (tuple([h(key) for h in self._buckets]),
-                    tuple([s(key) for s in self._signs]))
-        # Each row's PolynomialHash, inlined: (c1·x + c0) mod p.
+    def positions(self, key: int) -> tuple[int, ...]:
+        """One encoded key's signed cells, one per row: row ``i``'s
+        bucket ``b`` is cell ``i * width + b``, complemented (``~cell``)
+        where the row's sign is ``-1``."""
+        width = self._width
+        rows = self._pairwise
+        if rows is None:
+            return tuple([start + h(key) if s(key) > 0 else ~(start + h(key))
+                          for start, h, s in zip(range(0, self.depth * width, width),
+                                                 self._buckets, self._signs, strict=True)])
+        # Each row's two PolynomialHash evaluations, inlined:
+        # (c1·x + c0) mod p.
         x = key % MERSENNE_PRIME_61
-        values = [(c1 * x + c0) % MERSENNE_PRIME_61 for c0, c1 in pairs]
-        depth, width = len(self._buckets), self._width
-        return (tuple([value % width for value in values[:depth]]),
-                tuple([1 if value & 1 else -1 for value in values[depth:]]))
+        cells: list[int] = []
+        for start, (b0, b1), (s0, s1) in rows:
+            cell = start + (b1 * x + b0) % MERSENNE_PRIME_61 % width
+            cells.append(cell if (s1 * x + s0) % MERSENNE_PRIME_61 & 1 else ~cell)
+        return tuple(cells)
 
     @cached_property
     def _polynomials(self) -> list[tuple[int, ...]] | None:
@@ -257,13 +263,16 @@ class PolynomialRowHashes:
         return polynomials if len(polynomials) == len(rows) else None
 
     @cached_property
-    def _pairwise(self) -> list[tuple[int, ...]] | None:
-        """The rows when all are degree-1 (pairwise) polynomials, as the
-        default draws are; other functions are called key by key."""
+    def _pairwise(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]] | None:
+        """Per row, its first cell and its bucket and sign coefficients,
+        when all rows are degree-1 (pairwise) polynomials, as the default
+        draws are; other functions are called key by key."""
         rows = self._polynomials
         if rows is None or any(len(row) != 2 for row in rows):
             return None
-        return rows
+        depth = self.depth
+        return list(zip(range(0, depth * self._width, self._width),
+                        rows[:depth], rows[depth:], strict=True))
 
     @cached_property
     def _matrix(self) -> np.ndarray | None:
@@ -281,7 +290,8 @@ class PolynomialRowHashes:
         self, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(depth, n)`` int64 bucket indices and ±1 signs of a uint64
-        key array, equal to :meth:`positions` key by key."""
+        key array: :meth:`positions` of each key, before the folding
+        into signed cells."""
         if self._matrix is None:
             listed = keys.tolist()
             return (np.asarray([[h(k) for k in listed] for h in self._buckets],

@@ -31,6 +31,7 @@ from repro.hashing.encode import encode_key
 from repro.hashing.family import seeded_rng
 
 _MASK_64 = (1 << 64) - 1
+_BIT_63 = 1 << 63
 _U32, _U63 = np.uint64(32), np.uint64(63)
 
 
@@ -102,6 +103,9 @@ class VectorizedRowHashes:
         self._mult = bucket_mult + sign_mult
         self._add = bucket_add + sign_add
         self._columns = np.asarray([self._mult, self._add], dtype=np.uint64)[:, :, None]
+        # Per row for ``positions``: its first cell and both mixes.
+        self._cell_rows = list(zip(range(0, depth * width, width), bucket_mult,
+                                   bucket_add, sign_mult, sign_add, strict=True))
 
     @property
     def depth(self) -> int:
@@ -118,18 +122,23 @@ class VectorizedRowHashes:
         """The derivation seed (hash identity for compatibility checks)."""
         return self._seed
 
-    def positions(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Per-row bucket indices and ±1 signs of one encoded key."""
-        mixed = [(m * key + a) & _MASK_64 for m, a in zip(self._mult, self._add)]
-        depth, width = self._depth, self._width
-        return (tuple([(value >> 32) % width for value in mixed[:depth]]),
-                tuple([1 - 2 * (value >> 63) for value in mixed[depth:]]))
+    def positions(self, key: int) -> tuple[int, ...]:
+        """One encoded key's signed cells, one per row: row ``i``'s
+        bucket ``b`` is cell ``i * width + b``, complemented (``~cell``)
+        where the row's sign is ``-1``."""
+        width = self._width
+        cells: list[int] = []
+        for start, bucket_mult, bucket_add, sign_mult, sign_add in self._cell_rows:
+            cell = start + (((bucket_mult * key + bucket_add) & _MASK_64) >> 32) % width
+            cells.append(~cell if (sign_mult * key + sign_add) & _BIT_63 else cell)
+        return tuple(cells)
 
     def positions_array(
         self, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(depth, n)`` int64 bucket indices and ±1 signs of a uint64
-        key array, equal to :meth:`positions` key by key."""
+        key array: :meth:`positions` of each key, before the folding
+        into signed cells."""
         mult, add = self._columns
         with np.errstate(over="ignore"):
             mixed = keys * mult + add  # wraps mod 2**64

@@ -310,25 +310,35 @@ def unzip_records(
 def ingest_columns(
     items: Iterable[Hashable] | np.ndarray,
     counts: Iterable[int] | np.ndarray | None,
+    spec: TableSpec,
     *,
-    raw: bool,
+    raw: bool | None = None,
 ) -> tuple[np.ndarray | list[Hashable], np.ndarray]:
-    """One ingest batch as a key column and a checked int64 count column
-    (1 per item by default).  With ``raw`` the keys are the items'
-    uint64 ``encode_key`` images (a uint64 array passes as it is),
-    otherwise the items in a list.  A count the core's
-    :func:`~repro.core.countsketch.integral_weights` refuses raises
-    :class:`ServiceError` ``bad_request``; a key the wire cannot carry,
+    """One ingest batch for the table ``spec`` as a key column and a
+    checked int64 count column (1 per item by default).  The keys are the
+    items' uint64 ``encode_key`` images (a uint64 array passes as it is)
+    when ``raw``, otherwise the items in a list; ``raw`` defaults to the
+    table's own layout (see :attr:`TableSpec.packed_keys`).
+
+    A count the core's :func:`~repro.core.countsketch.integral_weights`
+    or the table's :meth:`~repro.service.tables.TableSpec.check_counts`
+    refuses raises :class:`ServiceError` ``bad_request``, so nothing of
+    the batch is sent; a key the wire cannot carry,
     :class:`~repro.service.protocol.WireProtocolError`.
     """
     if not isinstance(items, np.ndarray):
         items = list(items)
-    try:
-        weights = (np.ones(len(items), dtype=np.int64) if counts is None
-                   else integral_weights(counts, len(items)))
-    except (TypeError, ValueError, OverflowError) as error:
-        raise ServiceError("bad_request",
-                           f"ingest counts refused: {error}") from None
+    if counts is None:
+        weights = np.ones(len(items), dtype=np.int64)
+    else:
+        try:
+            weights = integral_weights(counts, len(items))
+            spec.check_counts(weights)
+        except (TypeError, ValueError, OverflowError) as error:
+            raise ServiceError("bad_request",
+                               f"ingest counts refused: {error}") from None
+    if raw is None:
+        raw = not spec.packed_keys
     if not raw:
         return (items.tolist() if isinstance(items, np.ndarray)
                 else items), weights
@@ -472,8 +482,8 @@ class AsyncServiceClient:
         commutes) but order-visible for ``topk``/``window`` tables;
         disable it there and handle :class:`OverloadedError` yourself.
         """
-        raw = not (await self._table_spec(table)).packed_keys
-        columns = [ingest_columns(*unzip_records(batch), raw=raw)
+        spec = await self._table_spec(table)
+        columns = [ingest_columns(*unzip_records(batch), spec)
                    for batch in batches]
         columns = [(keys, weights) for keys, weights in columns if len(weights)]
         frames = [
@@ -516,13 +526,14 @@ class AsyncServiceClient:
         1 by default; returns its sequence number.  ``wait=True`` returns
         only after the batch is applied (read-your-writes without a
         separate query).  A bool, non-integral or out-of-range count
-        (outside ``±(2**63 - 1)``) raises :class:`ServiceError`
-        ``bad_request`` before anything is sent.  Batches too large for
+        (outside ``±(2**63 - 1)``), a zero count, or a negative one on an
+        insert-only table raises :class:`ServiceError` ``bad_request``
+        before anything is sent.  Batches too large for
         one frame are split transparently (the returned sequence number
         is the final sub-batch's).
         """
-        raw = not (await self._table_spec(table)).packed_keys
-        keys, weights = ingest_columns(items, counts, raw=raw)
+        keys, weights = ingest_columns(items, counts,
+                                       await self._table_spec(table))
         frames = self._build_frames(table, keys, weights, wait=wait)
         last: dict[str, Any] = {}
         for response in await self._transport.request_stream(

@@ -741,24 +741,10 @@ class SketchServer:
                 request_id, "shutting_down",
                 "server is shutting down; ingest refused",
             )
-        weights = frame.weights
-        if weights.size:
-            if bool((weights == 0).any()):
-                raise _BadRequest("binary batch has a record with a "
-                                  "zero count")
-            lowest = int(weights.min())
-            if lowest < 0 and not table.spec.allows_negative_counts:
-                raise _BadRequest(
-                    "binary batch has a record with a negative count; "
-                    f"{table.spec.kind!r} tables are insert-only"
-                )
-            if lowest == -(1 << 63):
-                # The sketch refuses it, and a refusal inside the applier
-                # would stop the applier and hang every read barrier.
-                raise _BadRequest(
-                    "binary batch has a count of -2**63, outside the "
-                    "int64 range a sketch applies (int64 cannot negate it)"
-                )
+        try:
+            table.spec.check_counts(frame.weights)
+        except ValueError as error:
+            raise _BadRequest(f"binary batch refused: {error}") from None
         if frame.raw == table.spec.packed_keys:
             wanted = "packed keys" if frame.raw else "raw 64-bit key images"
             raise _BadRequest(
@@ -768,7 +754,7 @@ class SketchServer:
             )
         items = frame.keys if frame.raw else frame.items
         assert items is not None
-        seq = table.try_enqueue(items, weights)
+        seq = table.try_enqueue(items, frame.weights)
         if frame.wait:
             await table.wait_applied(seq)
         return ok_response(request_id, queued=len(frame), seq=seq,

@@ -143,6 +143,32 @@ class TableSpec:
         admission and window rotation are insert-ordered."""
         return self.kind in ("sketch", "vectorized")
 
+    def check_counts(self, counts: np.ndarray) -> None:
+        """Refuse an int64 count column this table must not apply: a
+        zero count, a negative one on an insert-only table (see
+        :attr:`allows_negative_counts`), or ``-2**63``, which a sketch
+        cannot negate.  The server checks every frame with it, and the
+        client and the coordinator check every batch before sending,
+        so a bad batch is refused whole rather than after part of it
+        was applied.
+
+        Raises:
+            ValueError: naming the rule the column breaks.
+        """
+        if not counts.size:
+            return
+        if bool((counts == 0).any()):
+            raise ValueError("a record has a zero count")
+        lowest = int(counts.min())
+        if lowest < 0 and not self.allows_negative_counts:
+            raise ValueError(f"a record has a negative count; {self.kind!r} "
+                             "tables are insert-only")
+        if lowest == -(1 << 63):
+            # The sketch refuses it, and a refusal inside the applier
+            # would stop the applier and hang every read barrier.
+            raise ValueError("a count of -2**63 is outside the int64 range a "
+                             "sketch applies (int64 cannot negate it)")
+
     @property
     def packed_keys(self) -> bool:
         """Whether ingest ships lossless packed keys rather than raw u64

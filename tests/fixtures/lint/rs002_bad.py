@@ -13,3 +13,7 @@ def tamper(sketch: CountSketch) -> None:
 
 def tamper_public_view(sketch: CountSketch) -> None:
     sketch.counters[0, 0] = 1  # RS002: mutation through the public view
+
+
+def tamper_flat_view(sketch: CountSketch) -> None:
+    sketch._cells[0] += 5  # RS002: mutation through the flat counter view

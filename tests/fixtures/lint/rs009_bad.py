@@ -33,3 +33,8 @@ class ShardTable:
         async for record in batch:  # implicit await each iteration
             self.apply(record)
         self._records_applied = seen + 1  # RS009: seen is stale
+
+    async def flat_view(self, cell):
+        value = self._cells[cell]
+        await asyncio.sleep(0)
+        self._cells[cell] = value + 1  # RS009: value is stale

@@ -215,6 +215,22 @@ class TestBatchEqualsScalar:
             single.row_values(item) for item in items
         ]
 
+    @pytest.mark.parametrize("method", ["update_batch", "update_batch_estimates"])
+    @pytest.mark.parametrize("weights", [
+        [2**63 - 1, 2**63 - 1, 5],
+        [-(2**63 - 1), -(2**63 - 1), 5],
+        [2**63 - 1, -(2**63 - 1), 2**62, 2**62],
+    ])
+    def test_total_weight_is_the_exact_sum(self, method, weights):
+        # An int64 sum of the weights wraps; per-item updates add ints.
+        batch = CountSketch(3, 8, seed=2)
+        getattr(batch, method)(list(range(len(weights))), weights)
+        single = CountSketch(3, 8, seed=2)
+        for item, weight in enumerate(weights):
+            single.update(item, weight)
+        assert batch.total_weight == single.total_weight == sum(weights)
+        assert batch == single
+
     def test_batches_larger_than_a_slice(self, monkeypatch):
         from repro.core import countsketch as module
 

@@ -45,14 +45,14 @@ SERVICE_PATH = "src/repro/service/under_test.py"
 #: (code, bad fixture, expected true positives, good fixture).
 CASES = [
     ("RS001", "rs001_bad.py", 6, "rs001_good.py"),
-    ("RS002", "rs002_bad.py", 4, "rs002_good.py"),
+    ("RS002", "rs002_bad.py", 5, "rs002_good.py"),
     ("RS003", "rs003_bad.py", 5, "rs003_good.py"),
     ("RS004", "rs004_bad.py", 4, "rs004_good.py"),
     ("RS005", "rs005_bad.py", 6, "rs005_good.py"),
     ("RS006", "rs006_bad.py", 5, "rs006_good.py"),
     ("RS007", "rs007_bad.py", 5, "rs007_good.py"),
     ("RS008", "rs008_bad.py", 6, "rs008_good.py"),
-    ("RS009", "rs009_bad.py", 4, "rs009_good.py"),
+    ("RS009", "rs009_bad.py", 5, "rs009_good.py"),
     ("RS010", "rs010_bad.py", 5, "rs010_good.py"),
     ("RS011", "rs011_bad.py", 4, "rs011_good.py"),
     ("RS012", "rs012_bad.py", 4, "rs012_good.py"),

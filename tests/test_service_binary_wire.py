@@ -209,7 +209,7 @@ class TestAutoSplit:
             server = SketchServer([spec])
             client = AsyncServiceClient.in_process(server)
             pairs = [(i % 100, 1) for i in range(5000)]
-            keys, weights = ingest_columns(*unzip_records(pairs), raw=True)
+            keys, weights = ingest_columns(*unzip_records(pairs), spec)
             frames = client._build_frames(spec.name, keys, weights,
                                           wait=True)
             assert len(frames) > 1
@@ -233,7 +233,7 @@ class TestAutoSplit:
             client = AsyncServiceClient.in_process(server)
             pairs = [(f"query-{i % 30}-" + "x" * 40, 1)
                      for i in range(2000)]
-            items, counts = ingest_columns(*unzip_records(pairs), raw=False)
+            items, counts = ingest_columns(*unzip_records(pairs), spec)
             frames = client._build_frames(spec.name, items, counts,
                                           wait=True)
             assert len(frames) > 1
@@ -295,6 +295,31 @@ class TestBinaryIngestValidation:
                 assert "int64" in excinfo.value.message
             await client.ingest(spec.name, [("ok", 2**62)], wait=True)
             assert await client.estimate(spec.name, ["ok"]) == [float(2**62)]
+            await server.stop()
+
+        run(go())
+
+    @pytest.mark.parametrize("kind, bad, reason", [
+        ("sketch", 0, "zero count"),
+        ("topk", 0, "zero count"),
+        ("topk", -1, "insert-only"),
+        ("window", -3, "insert-only"),
+    ])
+    def test_table_count_rule_applied_server_side(self, kind, bad, reason):
+        # The client refuses these before sending; the server applies
+        # the same rule (TableSpec.check_counts) to a foreign frame.
+        async def go():
+            spec = spec_for(kind)
+            server = SketchServer([spec])
+            keys = (np.array([7, 8], dtype=np.uint64) if not spec.packed_keys
+                    else [pack_key(7), pack_key(8)])
+            frame = pack_binary_ingest(
+                spec.name, 1, keys, np.array([1, bad], dtype=np.int64),
+                raw=not spec.packed_keys, wait=True)
+            response = await server.dispatch_binary(unpack_frame(frame))
+            assert response["error"]["code"] == "bad_request"
+            assert reason in response["error"]["message"]
+            assert server.tables[spec.name].enqueued_seq == 0
             await server.stop()
 
         run(go())

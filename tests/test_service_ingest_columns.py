@@ -93,6 +93,60 @@ class TestBadCountRefusedBeforeSending:
         run(go())
 
 
+#: Counts a table's own rule refuses: zero anywhere, and a negative
+#: count on an insert-only table.
+TABLE_RULE_COUNTS = [("sketch", 0), ("vectorized", 0), ("topk", 0), ("topk", -1)]
+
+
+@pytest.mark.parametrize("kind, bad", TABLE_RULE_COUNTS)
+class TestTableCountRuleBeforeSending:
+    """A count the shards' rule refuses (``TableSpec.check_counts``) is
+    refused by the client and the coordinator before any frame leaves,
+    not after the frames and shards ahead of it were applied."""
+
+    def test_a_split_batch_sends_nothing(self, kind, bad, monkeypatch):
+        monkeypatch.setattr(protocol_module, "MAX_FRAME_BYTES", 16384)
+        monkeypatch.setattr(client_module, "MAX_FRAME_BYTES", 16384)
+
+        async def go():
+            spec = spec_for(kind)
+            server = SketchServer([spec])
+            client = AsyncServiceClient.in_process(server)
+            items = list(range(protocol_module.binary_ingest_capacity("t") + 10))
+            counts = [1] * (len(items) - 1) + [bad]
+            for send in (lambda: client.ingest_items("t", items, counts),
+                         lambda: client.ingest_many(
+                             "t", [list(zip(items[:-1], counts[:-1], strict=True)),
+                                   [(items[-1], bad)]])):
+                with pytest.raises(ServiceError) as excinfo:
+                    await send()
+                assert excinfo.value.code == "bad_request"
+            table = server.tables["t"]
+            assert (table.enqueued_seq, table.records_applied) == (0, 0)
+            # The good records alone still take more than one frame.
+            await client.ingest_items("t", items[:-1], wait=True)
+            assert table.enqueued_seq > 1
+            assert table.records_applied == len(items) - 1
+            await server.stop()
+
+        run(go())
+
+    def test_cluster_ingest_sends_nothing(self, kind, bad):
+        async def go():
+            servers = [SketchServer([spec_for(kind)]) for _ in range(3)]
+            cluster = ClusterCoordinator.in_process(servers)
+            items = [f"key-{i}" for i in range(24)]
+            with pytest.raises(ServiceError) as excinfo:
+                await cluster.ingest(
+                    "t", [(item, 1) for item in items] + [("a", bad)])
+            assert excinfo.value.code == "bad_request"
+            assert await shard_counts(cluster) == [(0, 0)] * 3
+            for server in servers:
+                await server.stop()
+
+        run(go())
+
+
 class TestCountColumns:
     @pytest.mark.parametrize("kind", ["sketch", "vectorized", "topk"])
     def test_counts_column_equals_pairs(self, kind):
@@ -162,7 +216,7 @@ class TestEncodedOnce:
             client = AsyncServiceClient.in_process(server)
             items = [f"q{i % 50}" for i in range(3000)]
             assert len(client._build_frames(
-                "t", *client_module.ingest_columns(items, None, raw=True),
+                "t", *client_module.ingest_columns(items, None, spec_for("sketch")),
                 wait=False)) > 1
             encodings.clear()
             await client.ingest("t", [(item, 1) for item in items],
