@@ -15,8 +15,8 @@ fleet size, on every host.
 ``--gate`` additionally asserts near-linear scaling: 2-shard ingest
 must reach ≥1.6× the 1-shard rate.  Shards are separate processes, so
 the margin needs real cores — on a single-CPU host the scaling bound
-is recorded as skipped (the exactness assertions still run), matching
-how ``bench_parallel.py`` treats process parallelism.
+is recorded as skipped (the exactness assertions still run).  The
+cluster is the repo's one multi-process ingest path.
 
 Emits ``benchmarks/out/BENCH_cluster.json`` so future perf PRs have a
 trajectory.

@@ -57,7 +57,6 @@ from repro.core import (
 )
 from repro.core.hierarchical import heavy_change_items
 from repro.core.maxchange import find_max_change
-from repro.parallel import parallel_sketch, parallel_topk
 
 __version__ = "1.0.0"
 
@@ -88,8 +87,6 @@ __all__ = [
     "VectorizedCountSketch",
     "find_max_change",
     "heavy_change_items",
-    "parallel_sketch",
-    "parallel_topk",
     "gamma",
     "suggest_depth",
     "width_for_approxtop",

@@ -38,28 +38,27 @@ usage errors (bad flags or flag combinations), 2 for data errors
 failures).
 
 Input files are consumed incrementally (never materialized in memory), so
-multi-GB logs stream through in bounded space; ``topk`` and ``estimate``
-accept ``--workers N`` to shard ingestion across processes, with a merge
-that is exact by the §3.2 linearity.
+multi-GB logs stream through in bounded space: ``topk`` and ``estimate``
+read fixed-size chunks of records and apply each with one
+``update_batch`` call, which leaves the summary bit-for-bit as the
+per-record loop would.  To spread ingest over processes, run a cluster
+(``repro cluster serve`` plus ``repro query ingest --cluster``).
 
 ``topk`` and ``estimate`` persist state: ``--save-state PATH`` snapshots
 the summary on exit (``--checkpoint-every N`` also snapshots it every
-``N`` items mid-stream), ``--resume PATH`` restores a snapshot and skips
-the already-consumed stream prefix, and — with ``--workers > 1`` —
-``--checkpoint-dir DIR`` persists every absorbed shard so a killed
-parallel run resumes where it stopped.  ``repro estimate --sketch
+``N`` items mid-stream), and ``--resume PATH`` restores a snapshot and
+skips the already-consumed stream prefix.  ``repro estimate --sketch
 snap.rcs key1 key2`` queries a saved snapshot with no stream input at
 all.
 
 ``topk``, ``estimate``, and ``maxchange`` accept ``--metrics-out PATH``
 to collect runtime metrics (``repro.observability``) — sketch updates,
-position-cache hit rates, heap churn, per-shard merge timings — and dump
-them as JSON or Prometheus exposition text on exit.
+position-cache hit rates, heap churn — and dump them as JSON or
+Prometheus exposition text on exit.
 
 Examples::
 
     repro topk --input queries.txt --k 10
-    repro topk --input queries.txt --k 10 --workers 4
     repro topk --input queries.txt --save-state day.rcs --checkpoint-every 100000
     repro estimate --sketch day.rcs alpha beta
     repro store diff day1.rcs day2.rcs --items alpha beta --k 5
@@ -88,18 +87,12 @@ from repro.core.maxchange import MaxChangeFinder
 from repro.core.countsketch import CountSketch
 from repro.core.topk import TopKTracker
 from repro.experiments.report import format_table
+from repro.experiments.run_all import EXPERIMENT_SEQUENCE
 from repro.observability import (
     MetricsRegistry,
     set_registry,
     write_json,
     write_prometheus,
-)
-from repro.parallel import (
-    DEFAULT_CHUNK_SIZE,
-    IngestSummary,
-    iter_chunks,
-    parallel_sketch,
-    parallel_topk,
 )
 from repro.store import (
     CheckpointManager,
@@ -110,27 +103,10 @@ from repro.store import (
     load_with_meta,
     save as save_snapshot,
 )
-from repro.streams.io import TextStreamReader
+from repro.streams.io import StreamFormatError, TextStreamReader, iter_chunks
 
 EXPERIMENTS = (
-    "table1",
-    "error_vs_b",
-    "failure_vs_t",
-    "approxtop_quality",
-    "zipf_space_scaling",
-    "sampling_space",
-    "maxchange_experiment",
-    "hierarchical_maxchange",
-    "autoconfig",
-    "windowed_accuracy",
-    "relative_change_floor",
-    "space_accounting",
-    "ablation_estimator",
-    "ablation_sign_hash",
-    "ablation_heap_counts",
-    "ablation_hash_family",
-    "throughput",
-    "parallel_scaling",
+    *(name for __, name in EXPERIMENT_SEQUENCE),
     "run_all",
 )
 
@@ -144,20 +120,6 @@ def _add_sketch_arguments(parser: argparse.ArgumentParser) -> None:
                         help="hash seed (default 0)")
     parser.add_argument("--int-keys", action="store_true",
                         help="parse stream lines as integers")
-
-
-def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the stream across this many worker processes "
-             "(default 1 = serial); the merged sketch is exact by §3.2 "
-             "linearity",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
-        help="items per shard chunk when --workers > 1 "
-             f"(default {DEFAULT_CHUNK_SIZE})",
-    )
 
 
 def _add_state_arguments(parser: argparse.ArgumentParser) -> None:
@@ -178,21 +140,15 @@ def _add_state_arguments(parser: argparse.ArgumentParser) -> None:
              "stream); sketch dimension flags are ignored — the snapshot "
              "carries them",
     )
-    parser.add_argument(
-        "--checkpoint-dir", metavar="DIR", default=None,
-        help="with --workers > 1: persist every absorbed shard under DIR "
-             "and resume an interrupted run by re-invoking the same "
-             "command",
-    )
 
 
 def _add_metrics_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics-out", metavar="PATH", default=None,
         help="collect runtime metrics (sketch updates, position-cache "
-             "hits/misses, heap churn, per-shard merge timings) and write "
-             "them to PATH on exit; without this flag the no-op registry "
-             "keeps instrumentation overhead near zero",
+             "hits/misses, heap churn) and write them to PATH on exit; "
+             "without this flag the no-op registry keeps instrumentation "
+             "overhead near zero",
     )
     parser.add_argument(
         "--metrics-format", choices=("json", "prometheus"), default=None,
@@ -240,15 +196,6 @@ def _load(path: str, int_keys: bool) -> TextStreamReader:
     return TextStreamReader(path, as_int=int_keys)
 
 
-def _print_ingest_summary(summary: IngestSummary) -> None:
-    print(
-        f"ingest: {summary.n_workers} workers ({summary.executor}), "
-        f"{summary.n_shards} shards of <= {summary.chunk_size} items, "
-        f"{summary.items_per_second:,.0f} items/s, "
-        f"merge {summary.merge_seconds:.3f}s"
-    )
-
-
 #: Exit-code convention, uniform across every subcommand.
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -283,18 +230,6 @@ def _check_state_flags(args: argparse.Namespace) -> str | None:
         return "--checkpoint-every requires --save-state (the checkpoint path)"
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         return "--checkpoint-every must be at least 1"
-    if args.workers > 1:
-        if args.save_state or args.resume or args.checkpoint_every is not None:
-            return (
-                "--save-state/--resume/--checkpoint-every apply to serial "
-                "runs; with --workers > 1 use --checkpoint-dir"
-            )
-        return None
-    if args.checkpoint_dir:
-        return (
-            "--checkpoint-dir applies to --workers > 1; serial runs "
-            "checkpoint with --save-state --checkpoint-every"
-        )
     return None
 
 
@@ -314,12 +249,10 @@ def _ingest_with_state(
     stream: TextStreamReader,
     consumed: int,
 ) -> None:
-    """Feed the unconsumed stream tail into ``summary``, honoring
-    ``--save-state`` / ``--checkpoint-every``."""
-    source = (
-        itertools.islice(iter(stream), consumed, None)
-        if consumed else iter(stream)
-    )
+    """Feed the unconsumed stream tail into ``summary`` in
+    ``update_batch`` steps of :data:`~repro.streams.io.DEFAULT_CHUNK_SIZE`
+    records, honoring ``--save-state`` / ``--checkpoint-every``."""
+    source = itertools.islice(stream, consumed, None)
     if args.save_state and args.checkpoint_every is not None:
         manager = CheckpointManager(
             summary, args.save_state,
@@ -331,9 +264,9 @@ def _ingest_with_state(
             f"{args.save_state}"
         )
         return
-    for item in source:
-        summary.update(item)
-        consumed += 1
+    for chunk in iter_chunks(source):
+        summary.update_batch(chunk)
+        consumed += len(chunk)
     if args.save_state:
         save_snapshot(
             summary, args.save_state, meta={"items_consumed": consumed}
@@ -345,48 +278,33 @@ def _cmd_topk(args: argparse.Namespace) -> int:
     problem = _check_state_flags(args)
     if problem is not None:
         return _usage_fail(problem)
-    stream = _load(args.input, args.int_keys)
-    if args.workers > 1:
-        top, summary = parallel_topk(
-            stream, args.k, args.depth, args.width, seed=args.seed,
-            n_workers=args.workers, chunk_size=args.chunk_size,
-            checkpoint_dir=args.checkpoint_dir,
-        )
-        total_items = summary.total_items
-        counters = args.depth * args.width + len(top)
-        stored = len(top)
+    consumed = 0
+    if args.resume:
+        loaded, meta = load_with_meta(args.resume)
+        if not isinstance(loaded, TopKTracker):
+            return _fail(
+                f"{args.resume} holds a "
+                f"{type(loaded).__name__}, not the TopKTracker "
+                "snapshot topk --resume needs"
+            )
+        tracker = loaded
+        consumed = _restore_items_consumed(meta, args.resume)
     else:
-        consumed = 0
-        if args.resume:
-            loaded, meta = load_with_meta(args.resume)
-            if not isinstance(loaded, TopKTracker):
-                return _fail(
-                    f"{args.resume} holds a "
-                    f"{type(loaded).__name__}, not the TopKTracker "
-                    "snapshot topk --resume needs"
-                )
-            tracker = loaded
-            consumed = _restore_items_consumed(meta, args.resume)
-        else:
-            tracker = TopKTracker(args.k, depth=args.depth,
-                                  width=args.width, seed=args.seed)
-        _ingest_with_state(tracker, args, stream, consumed)
-        top = tracker.top()
-        total_items = tracker.items_processed
-        counters = tracker.counters_used()
-        stored = tracker.items_stored()
-        summary = None
+        tracker = TopKTracker(args.k, depth=args.depth,
+                              width=args.width, seed=args.seed)
+    _ingest_with_state(tracker, args, _load(args.input, args.int_keys),
+                       consumed)
     rows = [
         [rank, str(item), count]
-        for rank, (item, count) in enumerate(top, start=1)
+        for rank, (item, count) in enumerate(tracker.top(), start=1)
     ]
     print(format_table(
         ["rank", "item", "approx count"], rows,
-        title=f"top-{args.k} of {args.input} ({total_items} items)",
+        title=f"top-{args.k} of {args.input} "
+              f"({tracker.items_processed} items)",
     ))
-    print(f"space: {counters} counters, {stored} stored items")
-    if summary is not None:
-        _print_ingest_summary(summary)
+    print(f"space: {tracker.counters_used()} counters, "
+          f"{tracker.items_stored()} stored items")
     return 0
 
 
@@ -394,10 +312,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     queries = [int(q) if args.int_keys else q for q in args.items]
     if args.sketch is not None:
         # Query a saved snapshot directly: no stream input involved.
-        if args.input or args.resume or args.save_state or args.workers > 1:
+        if args.input or args.resume or args.save_state:
             return _usage_fail(
                 "--sketch queries a saved snapshot; it cannot be combined "
-                "with --input/--resume/--save-state/--workers"
+                "with --input/--resume/--save-state"
             )
         summary_obj = load_snapshot(args.sketch)
         rows = [[str(q), summary_obj.estimate(q)] for q in queries]
@@ -410,33 +328,23 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     problem = _check_state_flags(args)
     if problem is not None:
         return _usage_fail(problem)
-    stream = _load(args.input, args.int_keys)
-    if args.workers > 1:
-        sketch, summary = parallel_sketch(
-            stream, args.depth, args.width, seed=args.seed,
-            n_workers=args.workers, chunk_size=args.chunk_size,
-            checkpoint_dir=args.checkpoint_dir,
-        )
+    consumed = 0
+    if args.resume:
+        loaded, meta = load_with_meta(args.resume)
+        if not isinstance(loaded, CountSketch):
+            return _fail(
+                f"{args.resume} holds a {type(loaded).__name__}, not "
+                "the CountSketch snapshot estimate --resume needs"
+            )
+        sketch = loaded
+        consumed = _restore_items_consumed(meta, args.resume)
     else:
-        consumed = 0
-        if args.resume:
-            loaded, meta = load_with_meta(args.resume)
-            if not isinstance(loaded, CountSketch):
-                return _fail(
-                    f"{args.resume} holds a {type(loaded).__name__}, not "
-                    "the CountSketch snapshot estimate --resume needs"
-                )
-            sketch = loaded
-            consumed = _restore_items_consumed(meta, args.resume)
-        else:
-            sketch = CountSketch(args.depth, args.width, seed=args.seed)
-        _ingest_with_state(sketch, args, stream, consumed)
-        summary = None
+        sketch = CountSketch(args.depth, args.width, seed=args.seed)
+    _ingest_with_state(sketch, args, _load(args.input, args.int_keys),
+                       consumed)
     rows = [[str(q), sketch.estimate(q)] for q in queries]
     print(format_table(["item", "estimate"], rows,
                        title=f"estimates over {args.input}"))
-    if summary is not None:
-        _print_ingest_summary(summary)
     return 0
 
 
@@ -1242,7 +1150,6 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--input", required=True, help="stream file, one item per line")
     topk.add_argument("--k", type=int, default=10, help="items to report")
     _add_sketch_arguments(topk)
-    _add_parallel_arguments(topk)
     _add_state_arguments(topk)
     _add_metrics_arguments(topk)
     topk.set_defaults(handler=_cmd_topk)
@@ -1258,7 +1165,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "instead of ingesting a stream")
     estimate.add_argument("items", nargs="+", help="items to estimate")
     _add_sketch_arguments(estimate)
-    _add_parallel_arguments(estimate)
     _add_state_arguments(estimate)
     _add_metrics_arguments(estimate)
     estimate.set_defaults(handler=_cmd_estimate)
@@ -1765,7 +1671,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run_with_metrics(args, args.handler)
-    except (StoreError, OSError) as error:
+    except (StoreError, OSError, StreamFormatError) as error:
         return _fail(str(error))
 
 

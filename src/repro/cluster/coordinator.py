@@ -16,8 +16,8 @@ exact answers:
   perturb the answer.
 * ``topk`` — shard-local candidate lists are unioned and every candidate
   is re-scored globally through the same summed readouts (the
-  union-then-rescore step of :func:`repro.parallel.parallel_topk`),
-  ranked by ``(-estimate, repr(item))``.
+  union-then-rescore step of :meth:`ClusterCoordinator.topk`, §4.1
+  CANDIDATETOP's re-score), ranked by ``(-estimate, repr(item))``.
 * ``maxchange`` — the §3.2 *difference* of two tables, evaluated as
   row-readout differences and ranked by ``(-|change|, repr(item))``,
   mirroring :meth:`repro.store.archive.SketchArchive.diff`.
@@ -302,9 +302,9 @@ class ClusterCoordinator:
         bit-equal to one offline sketch fed the same stream.
 
         For ``topk`` tables this answers from the merged *sketch* (the
-        same re-score estimator :func:`repro.parallel.parallel_topk`
-        uses), not from shard-local heap priorities, which are not
-        meaningful across shards.
+        estimator :meth:`topk` re-scores its candidate union with), not
+        from shard-local heap priorities, which are not meaningful
+        across shards.
         """
         items = list(items)
         if not items:
@@ -318,11 +318,10 @@ class ClusterCoordinator:
 
         Every shard contributes its full tracked candidate list; the
         union is re-scored through the summed row readouts (merged-
-        sketch estimates) and ranked by ``(-estimate, repr(item))`` —
-        the identical union-then-rescore step of
-        :func:`repro.parallel.parallel_topk`.  Never-updated shards
-        contribute empty candidate lists and all-zero readouts, which
-        are exact by linearity.
+        sketch estimates) and ranked by ``(-estimate, repr(item))``:
+        §4.1 CANDIDATETOP's union-then-rescore, across shards instead of
+        passes.  Never-updated shards contribute empty candidate lists
+        and all-zero readouts, which are exact by linearity.
         """
         if k is None:
             k = (await self._table_spec(table)).k

@@ -32,7 +32,6 @@ EXPERIMENT_SEQUENCE: tuple[tuple[str, str], ...] = (
     ("X3", "windowed_accuracy"),
     ("X4", "relative_change_floor"),
     ("T1", "throughput"),
-    ("T3", "parallel_scaling"),
 )
 
 

@@ -5,7 +5,7 @@ streaming histograms (p50/p95/p99 via a fixed-size reservoir), a
 ``timed()`` context-manager/decorator, and JSON / Prometheus-text
 exporters.  The process-wide registry defaults to a no-op
 :class:`NullRegistry`; the instrumented hot paths (``CountSketch`` and
-friends, ``TopKTracker``, ``repro.parallel.engine``) capture their metric
+friends, ``TopKTracker``, ``CheckpointManager``) capture their metric
 handles at construction time, so uninstrumented runs pay a single
 ``is not None`` test per event — ``benchmarks/bench_overhead.py`` keeps
 that honest.

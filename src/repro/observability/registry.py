@@ -4,10 +4,10 @@ Three metric kinds cover the instrumentation the sketch layers need:
 
 * :class:`Counter` — a monotonically increasing total (updates applied,
   cache hits, heap evictions).
-* :class:`Gauge` — a point-in-time value (configured worker count, live
-  cache size).
-* :class:`Histogram` — a streaming value distribution (per-shard merge
-  seconds, items/s) summarized by count/sum/min/max and p50/p95/p99
+* :class:`Gauge` — a point-in-time value (queue depth, live cache
+  size).
+* :class:`Histogram` — a streaming value distribution (checkpoint
+  seconds, request latency) summarized by count/sum/min/max and p50/p95/p99
   quantiles over a fixed-size reservoir sample, so memory stays bounded
   no matter how many observations arrive.
 
@@ -348,17 +348,6 @@ class MetricsRegistry:
         (seconds); as a decorator every call of the wrapped function does.
         """
         return _TimedBlock(self.histogram(name))
-
-    def merge_counters(self, counters: dict[str, int]) -> None:
-        """Fold a ``{name: total}`` mapping into this registry's counters.
-
-        The cross-process aggregation hook: a worker collects into its own
-        registry, ships ``snapshot()["counters"]`` home (plain dict, so it
-        pickles), and the parent merges.  Counters are sums, so merging is
-        exact; histograms are process-local by design.
-        """
-        for name, value in counters.items():
-            self.counter(name).inc(value)
 
     def snapshot(self) -> dict[str, Any]:
         """A plain-dict summary of every metric (JSON-compatible).

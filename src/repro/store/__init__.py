@@ -4,9 +4,9 @@ The persistence layer for every summary type in the repo:
 
 * :func:`save` / :func:`load` — exact, CRC-checked, atomically-written
   binary snapshots (``.rcs`` files) of sketches, trackers, and windows.
-* :class:`CheckpointManager` / :class:`ShardCheckpointStore` — periodic
-  checkpointing during (serial or sharded) ingestion, with bit-for-bit
-  resume after a crash.
+* :class:`CheckpointManager` — periodic checkpointing during ingestion,
+  with bit-for-bit resume after a crash; :class:`ShardCheckpointStore`
+  pins a checkpoint directory's run parameters in a manifest.
 * :class:`SketchArchive` — an on-disk sequence of epoch sketches sharing
   one hash family, supporting historical max-change between any two
   epochs and exact dyadic-interval range merges (§3.2 linearity).

@@ -1,21 +1,18 @@
 """Checkpoint/resume for long-running ingestion.
 
-Two cooperating pieces:
+Two pieces:
 
 * :class:`CheckpointManager` wraps any snapshotable summary during
-  serial ingestion and persists it every ``N`` items and/or ``T``
-  seconds.  The snapshot records how many stream records the summary has
-  consumed, so a killed process can :meth:`~CheckpointManager.resume`,
-  skip the consumed prefix of the (replayable) stream, and continue —
-  the final state is bit-for-bit identical to an uninterrupted run,
-  because snapshots are exact and checkpoints land on record boundaries.
+  ingestion and persists it every ``N`` items and/or ``T`` seconds.  The
+  snapshot records how many stream records the summary has consumed, so
+  a killed process can :meth:`~CheckpointManager.resume`, skip the
+  consumed prefix of the (replayable) stream, and continue — the final
+  state is bit-for-bit identical to an uninterrupted run, because
+  snapshots are exact and checkpoints land on record boundaries.
 
-* :class:`ShardCheckpointStore` is the parallel engine's durable
-  directory: a manifest pinning the shared sketch parameters plus one
-  snapshot per absorbed shard.  Restore rebuilds each shard and folds it
-  back through the compatibility-checked ``merge`` API (§3.2 linearity
-  makes the order irrelevant), after which ingestion continues with the
-  not-yet-covered chunks only.
+* :class:`ShardCheckpointStore` pins a directory's run parameters in a
+  manifest (the cluster fleet's checkpoint root uses it), refusing a
+  resume whose parameters differ.
 
 Every file write is atomic (:func:`repro.store.format.atomic_write_bytes`),
 so a crash mid-checkpoint can only lose the newest checkpoint, never
@@ -24,8 +21,8 @@ corrupt an older one.
 
 from __future__ import annotations
 
+import itertools
 import json
-import re
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -34,16 +31,11 @@ import numpy as np
 
 from repro.observability.registry import MetricsRegistry, get_registry
 from repro.store.codec import load_with_meta, save
-from repro.store.format import (
-    SNAPSHOT_SUFFIX,
-    StoreError,
-    atomic_write_bytes,
-    decode_item,
-    encode_item,
-)
+from repro.store.format import StoreError, atomic_write_bytes
+from repro.streams.io import DEFAULT_CHUNK_SIZE
 
 if TYPE_CHECKING:
-    from collections.abc import Hashable, Iterable, Iterator, Sequence
+    from collections.abc import Hashable, Iterable, Sequence
 
     from repro.store.codec import Snapshotable
 
@@ -58,9 +50,11 @@ __all__ = [
 def apply_update_batch(
     summary: Snapshotable,
     items: Sequence[Hashable],
-    counts: Sequence[int],
+    counts: Sequence[int] | None = None,
 ) -> None:
     """Apply parallel record lists ``(items[i], counts[i])`` in stream order.
+
+    ``counts=None`` means one occurrence per item.
 
     Summaries exposing ``update_batch`` absorb the whole batch in one
     call: every linear Count Sketch, and the top-k tracker, whose batch
@@ -74,7 +68,7 @@ def apply_update_batch(
     handed to ``update_batch`` as-is — boxing it into a list would cost
     more than the wire decode it just avoided.
     """
-    if len(items) != len(counts):
+    if counts is not None and len(items) != len(counts):
         raise ValueError("items and counts must have the same length")
     batch = getattr(summary, "update_batch", None)
     if batch is not None:
@@ -85,7 +79,9 @@ def apply_update_batch(
         # Scalar summaries get Python ints: a NumPy scalar hashes the
         # same but would taint running totals in snapshot headers.
         items = items.tolist()
-    if isinstance(counts, np.ndarray):
+    if counts is None:
+        counts = [1] * len(items)
+    elif isinstance(counts, np.ndarray):
         counts = counts.tolist()
     for item, count in zip(items, counts, strict=True):
         summary.update(item, count)
@@ -187,19 +183,19 @@ class CheckpointManager:
     def update_batch(
         self,
         items: Sequence[Hashable],
-        counts: Sequence[int],
+        counts: Sequence[int] | None = None,
     ) -> None:
         """Apply a micro-batch of records, then checkpoint if due.
 
         The batch is absorbed through :func:`apply_update_batch` (one
         ``update_batch`` call for sketches and top-k trackers, an
         in-order loop otherwise) and counts as ``len(items)`` stream
-        records.  The
+        records; ``counts=None`` means one occurrence each.  The
         due-check runs once at the batch end, so checkpoints always land
         on batch boundaries — which are record boundaries — keeping the
         resume contract exact.
         """
-        if len(items) != len(counts):
+        if counts is not None and len(items) != len(counts):
             raise ValueError("items and counts must have the same length")
         if len(items) == 0:  # `not items` is ambiguous for ndarrays
             return
@@ -209,11 +205,27 @@ class CheckpointManager:
             self.flush()
 
     def extend(self, stream: Iterable[Hashable]) -> None:
-        """Apply each record of ``stream`` with checkpointing, then a
+        """Apply every record of ``stream`` with checkpointing, then a
         final :meth:`flush` so the snapshot always covers the full
-        stream."""
-        for item in stream:
-            self.update(item)
+        stream.
+
+        Records are applied by :meth:`update_batch` in chunks of at most
+        :data:`~repro.streams.io.DEFAULT_CHUNK_SIZE`.  A chunk ends at
+        every ``every_items`` boundary, so snapshots land on the same
+        :attr:`items_consumed` counts, with the same bytes, as
+        :meth:`update` per record would write; ``every_seconds`` is
+        checked once per chunk.
+        """
+        records = iter(stream)
+        while True:
+            size = DEFAULT_CHUNK_SIZE
+            if self._every_items is not None:
+                size = min(size, self._items_at_checkpoint
+                           + self._every_items - self._items_consumed)
+            chunk = list(itertools.islice(records, size))
+            if not chunk:
+                break
+            self.update_batch(chunk)
         self.flush()
 
     def _due(self) -> bool:
@@ -275,24 +287,13 @@ class CheckpointManager:
         )
 
 
-_SHARD_NAME = re.compile(r"^shard-(\d{8})" + re.escape(SNAPSHOT_SUFFIX) + "$")
-
-
 class ShardCheckpointStore:
-    """A directory of per-shard snapshots for resumable parallel ingest.
+    """A checkpoint directory whose ``manifest.json`` pins run parameters.
 
-    Layout::
-
-        <directory>/
-            manifest.json          # pinned run parameters
-            shard-00000000.rcs     # one snapshot per absorbed chunk
-            shard-00000001.rcs
-            ...
-
-    The manifest pins everything that must not change between the
-    original run and a resume — backend, depth, width, seed, chunk size,
-    candidate count — because shards only merge exactly when the hash
-    family and the chunk boundaries are identical.
+    The manifest records everything that must not change between the
+    original run and a resume — for the cluster fleet, the shard count
+    and every table spec — because shard snapshots only combine exactly
+    when the hash functions and the key routing are identical.
     """
 
     MANIFEST_NAME = "manifest.json"
@@ -300,11 +301,6 @@ class ShardCheckpointStore:
     def __init__(self, directory: str | Path) -> None:
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def directory(self) -> Path:
-        """The checkpoint directory."""
-        return self._directory
 
     def _manifest_path(self) -> Path:
         return self._directory / self.MANIFEST_NAME
@@ -355,71 +351,3 @@ class ShardCheckpointStore:
                 f"different parameters ({detail}); resume with the "
                 "original settings or use a fresh directory"
             )
-
-    def shard_path(self, index: int) -> Path:
-        """The snapshot path for chunk ``index``."""
-        if index < 0:
-            raise ValueError("shard index cannot be negative")
-        return self._directory / f"shard-{index:08d}{SNAPSHOT_SUFFIX}"
-
-    def save_shard(
-        self,
-        index: int,
-        sketch: Snapshotable,
-        *,
-        items: int,
-        candidates: Iterable[Hashable] = (),
-    ) -> int:
-        """Persist one absorbed shard atomically; returns bytes written.
-
-        ``candidates`` (the shard's top-k candidate items, when running
-        in top-k mode) ride in the snapshot meta and come back decoded
-        from :meth:`load_shards`.
-        """
-        meta: dict[str, Any] = {
-            "chunk_index": index,
-            "items": items,
-            "candidates": [encode_item(item) for item in candidates],
-        }
-        return save(sketch, self.shard_path(index), meta=meta)
-
-    def covered_indices(self) -> list[int]:
-        """Chunk indices with a persisted shard, ascending."""
-        indices = []
-        for entry in self._directory.iterdir():
-            match = _SHARD_NAME.match(entry.name)
-            if match:
-                indices.append(int(match.group(1)))
-        return sorted(indices)
-
-    def load_shards(
-        self,
-    ) -> Iterator[tuple[int, Snapshotable, dict[str, Any]]]:
-        """Yield ``(chunk_index, sketch, meta)`` per shard, ascending.
-
-        Raises:
-            StoreError: when a shard's recorded ``chunk_index`` disagrees
-                with its filename (a sign of hand-edited files).
-        """
-        for index in self.covered_indices():
-            sketch, meta = load_with_meta(self.shard_path(index))
-            if meta.get("chunk_index") != index:
-                raise StoreError(
-                    f"shard file {self.shard_path(index).name} records "
-                    f"chunk_index={meta.get('chunk_index')!r}; the "
-                    "checkpoint directory is inconsistent"
-                )
-            stored = meta.get("candidates", [])
-            if not isinstance(stored, list):
-                raise StoreError("shard candidate list is malformed")
-            meta = dict(meta)
-            meta["candidates"] = [decode_item(value) for value in stored]
-            yield index, sketch, meta
-
-    def clear(self) -> None:
-        """Delete the manifest and every shard (after a completed run)."""
-        for index in self.covered_indices():
-            self.shard_path(index).unlink()
-        manifest = self._manifest_path()
-        if manifest.exists():
-            manifest.unlink()

@@ -17,7 +17,8 @@ frequencies (§4.1), heavy-tailed flow sizes (Crovella et al., the paper's
   (the paper's first motivating application).
 * :mod:`repro.streams.packets` — synthetic packet-flow streams (the
   paper's networking application).
-* :mod:`repro.streams.io` — plain-text / JSON-lines stream persistence.
+* :mod:`repro.streams.io` — plain-text / JSON-lines stream persistence,
+  and :func:`~repro.streams.io.iter_chunks` for bounded-memory batches.
 * :mod:`repro.streams.model` — the :class:`~repro.streams.model.Stream`
   wrapper binding items to generation metadata.
 """
@@ -25,7 +26,9 @@ frequencies (§4.1), heavy-tailed flow sizes (Crovella et al., the paper's
 from repro.streams.alias import AliasSampler
 from repro.streams.drift import DriftPair, make_drift_pair
 from repro.streams.io import (
+    StreamFormatError,
     TextStreamReader,
+    iter_chunks,
     iter_stream_text,
     read_stream_jsonl,
     read_stream_text,
@@ -51,9 +54,11 @@ __all__ = [
     "FlowStreamGenerator",
     "QueryStreamGenerator",
     "Stream",
+    "StreamFormatError",
     "TextStreamReader",
     "ZipfStreamGenerator",
     "adversarial_boundary_stream",
+    "iter_chunks",
     "iter_stream_text",
     "make_drift_pair",
     "planted_heavy_hitter_stream",

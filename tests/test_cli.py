@@ -5,7 +5,17 @@ import json
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
-from repro.streams.io import write_stream_text
+from repro.core.countsketch import CountSketch
+from repro.core.topk import TopKTracker
+from repro.experiments.report import format_table
+from repro.observability import MetricsRegistry, use_registry
+from repro.store import dumps
+from repro.streams.io import (
+    DEFAULT_CHUNK_SIZE,
+    read_stream_text,
+    write_stream_text,
+)
+from repro.streams.zipf import ZipfStreamGenerator
 
 
 @pytest.fixture()
@@ -74,17 +84,6 @@ class TestTopK:
         out = capsys.readouterr().out
         assert "7" in out
 
-    def test_parallel_workers(self, stream_file, capsys):
-        assert main([
-            "topk", "--input", stream_file, "--k", "2",
-            "--workers", "2", "--chunk-size", "16",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "apple" in out
-        assert out.index("apple") < out.index("banana")
-        assert "ingest: 2 workers" in out
-        assert "62 items" in out  # total item count still reported
-
     def test_streams_lazily(self, stream_file, capsys, monkeypatch):
         # The CLI must never materialize the input file into a list.
         import repro.streams.io as io_module
@@ -108,21 +107,66 @@ class TestEstimate:
         assert "30" in out  # exact under a wide sketch
         assert "missing" in out
 
-    def test_parallel_matches_serial(self, stream_file, capsys):
-        # Exact merge: --workers must not change a single estimate.
-        assert main(["estimate", "--input", stream_file, "apple"]) == 0
-        serial_out = capsys.readouterr().out
-        assert main([
-            "estimate", "--input", stream_file, "apple",
-            "--workers", "3", "--chunk-size", "8",
-        ]) == 0
-        parallel_out = capsys.readouterr().out
-        serial_table = serial_out.splitlines()
-        parallel_table = [
-            line for line in parallel_out.splitlines()
-            if not line.startswith("ingest:")
-        ]
-        assert serial_table == parallel_table
+
+class TestChunkedIngest:
+    """``topk`` and ``estimate`` apply the file in chunks, yet print and
+    save exactly what a per-record feed produces."""
+
+    @pytest.fixture(params=[False, True], ids=["str-keys", "int-keys"])
+    def long_stream(self, request, tmp_path):
+        ranks = ZipfStreamGenerator(m=300, z=1.0, seed=3).generate(
+            2 * DEFAULT_CHUNK_SIZE + 123).items
+        items = [int(rank) if request.param else f"q{rank}"
+                 for rank in ranks]
+        path = tmp_path / "long.txt"
+        write_stream_text(path, items)
+        flags = ["--int-keys"] if request.param else []
+        return str(path), items, flags
+
+    def test_topk_matches_per_record_tracker(self, long_stream, tmp_path,
+                                             capsys):
+        path, items, flags = long_stream
+        state = tmp_path / "topk.rcs"
+        assert main(["topk", "--input", path, "--k", "5", "--depth", "3",
+                     "--width", "128", "--save-state", str(state),
+                     *flags]) == 0
+        reference = TopKTracker(5, depth=3, width=128, seed=0)
+        for item in items:
+            reference.update(item)
+        rows = [[rank, str(item), count]
+                for rank, (item, count) in enumerate(reference.top(), 1)]
+        assert capsys.readouterr().out == "\n".join([
+            f"state: snapshot -> {state}",
+            format_table(["rank", "item", "approx count"], rows,
+                         title=f"top-5 of {path} ({len(items)} items)"),
+            f"space: {reference.counters_used()} counters, "
+            f"{reference.items_stored()} stored items",
+            "",
+        ])
+        assert state.read_bytes() == dumps(
+            reference, meta={"items_consumed": len(items)})
+
+    def test_estimate_matches_per_record_sketch(self, long_stream, tmp_path,
+                                                capsys):
+        path, items, flags = long_stream
+        state = tmp_path / "sketch.rcs"
+        queries = [str(item) for item in items[:3]] + ["404"]
+        assert main(["estimate", "--input", path, "--depth", "3",
+                     "--width", "128", "--save-state", str(state),
+                     *flags, *queries]) == 0
+        reference = CountSketch(3, 128, seed=0)
+        for item in items:
+            reference.update(item)
+        keys = [int(q) for q in queries] if flags else queries
+        rows = [[str(key), reference.estimate(key)] for key in keys]
+        assert capsys.readouterr().out == "\n".join([
+            f"state: snapshot -> {state}",
+            format_table(["item", "estimate"], rows,
+                         title=f"estimates over {path}"),
+            "",
+        ])
+        assert state.read_bytes() == dumps(
+            reference, meta={"items_consumed": len(items)})
 
 
 class TestMaxChange:
@@ -174,41 +218,31 @@ class TestMetricsOut:
         ]) == 0
         out = capsys.readouterr().out
         assert f"metrics: wrote json to {out_path}" in out
-        snapshot = json.loads(out_path.read_text())
-        counters = snapshot["counters"]
+        counters = json.loads(out_path.read_text())["counters"]
+        # The file is applied in update_batch steps, whose totals equal a
+        # per-record tracker's; a batch step makes no position-cache
+        # lookups, so those two counters read 0.
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            tracker = TopKTracker(2, depth=5, width=512, seed=0)
+            for item in read_stream_text(stream_file):
+                tracker.update(item)
+        per_record = registry.snapshot()["counters"]
+        cache = {"countsketch_position_cache_misses_total",
+                 "countsketch_position_cache_hits_total"}
+        assert per_record["countsketch_position_cache_misses_total"] == 4
+        assert {name: counters[name] for name in cache} == dict.fromkeys(
+            cache, 0)
+        assert {name: value for name, value in counters.items()
+                if name not in cache} == {
+            name: value for name, value in per_record.items()
+            if name not in cache}
         assert counters["countsketch_updates_total"] == 62
         assert counters["topk_updates_total"] == 62
-        assert counters["countsketch_position_cache_misses_total"] == 4
-        assert counters["countsketch_position_cache_hits_total"] > 0
-        assert counters["topk_heap_admissions_total"] >= 2
-        assert counters["topk_exact_increments_total"] > 0
-
-    def test_topk_parallel_json_covers_all_families(self, stream_file,
-                                                    tmp_path, capsys):
-        """The acceptance check: a parallel topk run must emit counters
-        covering sketch updates, position-cache traffic, heap churn, and
-        the per-shard merge timing histogram."""
-        out_path = tmp_path / "m.json"
-        assert main([
-            "topk", "--input", stream_file, "--k", "2",
-            "--workers", "2", "--chunk-size", "16",
-            "--metrics-out", str(out_path),
-        ]) == 0
-        snapshot = json.loads(out_path.read_text())
-        counters = snapshot["counters"]
-        # Worker-side sketch/tracker counters survive the process boundary.
-        # Shards pre-aggregate their chunk, so updates count weighted update
-        # calls: distinct items per 16-item chunk (1 + 2 + 1 + 3).
-        assert counters["countsketch_updates_total"] == 7
-        assert counters["topk_updates_total"] == 7
-        assert counters["countsketch_position_cache_misses_total"] > 0
-        assert counters["topk_heap_admissions_total"] > 0
-        assert counters["parallel_shards_total"] == 4  # ceil(62 / 16)
-        assert counters["parallel_items_total"] == 62
-        merge = snapshot["histograms"]["parallel_merge_seconds"]
-        assert merge["count"] == 4
-        assert merge["sum"] >= 0.0
-        assert snapshot["gauges"]["parallel_workers"] == 2.0
+        assert counters["topk_heap_admissions_total"] == 2
+        assert counters["topk_exact_increments_total"] == 48
+        assert counters["topk_heap_rejections_total"] == 12
+        assert counters["countsketch_estimates_total"] == 14
 
     def test_estimate_metrics(self, stream_file, tmp_path, capsys):
         out_path = tmp_path / "m.json"

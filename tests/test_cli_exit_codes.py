@@ -28,6 +28,10 @@ def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("exitcodes")
     stream = root / "stream.txt"
     write_stream_text(stream, ITEMS)
+    not_int = root / "not-int.txt"
+    write_stream_text(not_int, [1, 2, "three", 4])
+    not_utf8 = root / "not-utf8.txt"
+    not_utf8.write_bytes(b"apple\nbanana\n\xff\xfe\napple\n")
     sketch_a = CountSketch(4, 64, seed=3)
     sketch_b = CountSketch(4, 64, seed=3)
     topk = TopKTracker(5, depth=4, width=64, seed=3)
@@ -44,6 +48,8 @@ def paths(tmp_path_factory):
     oracle.save(root / "admission.rcs")
     return {
         "stream": str(stream),
+        "not_int": str(not_int),
+        "not_utf8": str(not_utf8),
         "snap_a": str(root / "a.rcs"),
         "snap_b": str(root / "b.rcs"),
         "snap_top": str(root / "top.rcs"),
@@ -95,6 +101,19 @@ USAGE = [
     pytest.param(["estimate", "--input", "{stream}",
                   "--sketch", "{snap_a}", "apple"],
                  id="estimate-conflicting-sources"),
+    # Ingest runs in one process; the cluster is the multi-process path.
+    pytest.param(["topk", "--input", "{stream}", "--workers", "2"],
+                 id="topk-workers-removed"),
+    pytest.param(["topk", "--input", "{stream}", "--chunk-size", "16"],
+                 id="topk-chunk-size-removed"),
+    pytest.param(["topk", "--input", "{stream}", "--checkpoint-dir", "d"],
+                 id="topk-checkpoint-dir-removed"),
+    pytest.param(["estimate", "--input", "{stream}", "--workers", "2",
+                  "apple"], id="estimate-workers-removed"),
+    pytest.param(["estimate", "--input", "{stream}", "--chunk-size", "16",
+                  "apple"], id="estimate-chunk-size-removed"),
+    pytest.param(["estimate", "--input", "{stream}", "--checkpoint-dir",
+                  "d", "apple"], id="estimate-checkpoint-dir-removed"),
     pytest.param(["maxchange", "--before", "{stream}"],
                  id="maxchange-missing-after"),
     pytest.param(["percent-change"], id="percent-change-missing-args"),
@@ -162,6 +181,18 @@ USAGE = [
 
 DATA = [
     pytest.param(["topk", "--input", "{missing}"], id="topk-missing-file"),
+    pytest.param(["topk", "--input", "{not_int}", "--int-keys"],
+                 id="topk-non-integer-line"),
+    pytest.param(["topk", "--input", "{not_utf8}"], id="topk-non-utf8"),
+    pytest.param(["estimate", "--input", "{not_int}", "--int-keys", "1"],
+                 id="estimate-non-integer-line"),
+    pytest.param(["estimate", "--input", "{not_utf8}", "apple"],
+                 id="estimate-non-utf8"),
+    pytest.param(["maxchange", "--before", "{stream}", "--after",
+                  "{not_int}", "--int-keys"],
+                 id="maxchange-non-integer-line"),
+    pytest.param(["maxchange", "--before", "{not_utf8}",
+                  "--after", "{stream}"], id="maxchange-non-utf8"),
     pytest.param(["estimate", "--sketch", "{missing}", "apple"],
                  id="estimate-missing-snapshot"),
     pytest.param(["maxchange", "--before", "{missing}",
@@ -218,6 +249,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert "--checkpoint-dir" in captured.err
+
+    @pytest.mark.parametrize("name, flags, line, problem", [
+        ("not_int", ["--int-keys"], 3, "not an integer: 'three'"),
+        ("not_utf8", [], 3, "not UTF-8 text"),
+    ], ids=["non-integer", "non-utf8"])
+    def test_malformed_stream_is_one_line_naming_file_and_line(
+            self, paths, capsys, name, flags, line, problem):
+        code = main(["topk", "--input", paths[name], *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert captured.err == (
+            f"error: {paths[name]}, line {line}: {problem}\n")
 
     def test_connection_refused_is_one_documented_line(self, capsys):
         code = main(["query", "ping", "--port", "1", "--timeout", "5"])

@@ -1,20 +1,22 @@
 """CLI tests for the persistence surface.
 
-Covers ``--save-state`` / ``--checkpoint-every`` / ``--resume`` /
-``--checkpoint-dir`` on ``topk`` and ``estimate``, snapshot-only
-queries (``estimate --sketch``), and the ``repro store`` subcommands
-(``inspect`` / ``merge`` / ``diff``).
+Covers ``--save-state`` / ``--checkpoint-every`` / ``--resume`` on
+``topk`` and ``estimate``, snapshot-only queries (``estimate
+--sketch``), and the ``repro store`` subcommands (``inspect`` /
+``merge`` / ``diff``).
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import main
 from repro.core.countsketch import CountSketch
 from repro.core.topk import TopKTracker
-from repro.store import SketchArchive, load, save
-from repro.streams.io import write_stream_text
+from repro.store import SketchArchive, load, load_with_meta, save
+from repro.streams.io import DEFAULT_CHUNK_SIZE, write_stream_text
+from repro.streams.zipf import ZipfStreamGenerator
 
 ITEMS = ["apple"] * 30 + ["banana"] * 20 + ["cherry"] * 10 + ["date"] * 2
 
@@ -107,6 +109,58 @@ class TestResume:
         for line in table:
             assert line in resumed
 
+    @pytest.mark.parametrize("command", [
+        ["topk", "--k", "5"], ["estimate", "q1", "q2", "q7"],
+    ], ids=["topk", "estimate"])
+    def test_killed_checkpointed_run_resumes_exactly(self, command,
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
+        every = 5_000  # does not divide the chunk size
+        assert DEFAULT_CHUNK_SIZE % every
+        ranks = ZipfStreamGenerator(m=400, z=1.0, seed=9).generate(
+            4 * DEFAULT_CHUNK_SIZE + 77).items
+        stream = tmp_path / "long.txt"
+        write_stream_text(stream, [f"q{rank}" for rank in ranks])
+        argv = [command[0], "--input", str(stream), "--depth", "3",
+                "--width", "128", *command[1:]]
+        reference_state = tmp_path / "reference.rcs"
+        __, reference, __ = run(
+            [*argv, "--save-state", str(reference_state)], capsys)
+
+        class Killed(Exception):
+            pass
+
+        kill_at = 3 * DEFAULT_CHUNK_SIZE + 11
+        load_stream = cli._load
+
+        def dying_load(path, int_keys):
+            for number, item in enumerate(load_stream(path, int_keys)):
+                if number == kill_at:
+                    raise Killed
+                yield item
+
+        state = tmp_path / "state.rcs"
+        checkpointed = [*argv, "--save-state", str(state),
+                        "--checkpoint-every", str(every)]
+        monkeypatch.setattr(cli, "_load", dying_load)
+        with pytest.raises(Killed):
+            main(checkpointed)
+        monkeypatch.undo()
+        capsys.readouterr()
+        __, meta = load_with_meta(state)
+        assert meta["items_consumed"] == kill_at // every * every
+
+        code, resumed, __ = run([*checkpointed, "--resume", str(state)],
+                                capsys)
+        assert code == 0
+
+        def answer(out):
+            return [line for line in out.splitlines()
+                    if not line.startswith("state:")]
+
+        assert answer(resumed) == answer(reference)
+        assert state.read_bytes() == reference_state.read_bytes()
+
     def test_resume_with_wrong_snapshot_type_refused(self, stream_file,
                                                      tmp_path, capsys):
         snap = str(tmp_path / "dense.rcs")
@@ -142,26 +196,6 @@ class TestFlagValidation:
         assert code == 1
         assert "--save-state" in err
 
-    def test_save_state_refused_with_workers(self, stream_file, tmp_path,
-                                             capsys):
-        code, __, err = run(
-            ["topk", "--input", stream_file, "--workers", "2",
-             "--save-state", str(tmp_path / "x.rcs")],
-            capsys,
-        )
-        assert code == 1
-        assert "--checkpoint-dir" in err
-
-    def test_checkpoint_dir_refused_serial(self, stream_file, tmp_path,
-                                           capsys):
-        code, __, err = run(
-            ["topk", "--input", stream_file,
-             "--checkpoint-dir", str(tmp_path / "ckpt")],
-            capsys,
-        )
-        assert code == 1
-        assert "--workers" in err
-
     def test_sketch_flag_excludes_stream_flags(self, stream_file, tmp_path,
                                                capsys):
         snap = str(tmp_path / "x.rcs")
@@ -184,28 +218,6 @@ class TestFlagValidation:
         )
         assert code == 2
         assert "error:" in err
-
-
-class TestCheckpointDir:
-    def test_parallel_topk_with_checkpoint_dir(self, tmp_path, capsys):
-        stream = tmp_path / "big.txt"
-        write_stream_text(stream, ITEMS * 20)
-        ckpt = tmp_path / "ckpt"
-
-        __, reference, __ = run(
-            ["topk", "--input", str(stream), "--k", "3", "--workers", "2"],
-            capsys,
-        )
-        code, resumed, __ = run(
-            ["topk", "--input", str(stream), "--k", "3", "--workers", "2",
-             "--checkpoint-dir", str(ckpt)],
-            capsys,
-        )
-        assert code == 0
-        assert ckpt.is_dir() and any(ckpt.glob("shard-*.rcs"))
-        assert [l for l in resumed.splitlines() if "apple" in l] == [
-            l for l in reference.splitlines() if "apple" in l
-        ]
 
 
 class TestStoreInspect:

@@ -33,7 +33,6 @@ from repro.observability import (
     write_json,
     write_prometheus,
 )
-from repro.parallel import parallel_sketch, parallel_topk
 
 
 class TestPrimitives:
@@ -132,13 +131,6 @@ class TestRegistry:
         assert snapshot["gauges"] == {"g": 1.5}
         assert snapshot["histograms"]["h"]["count"] == 1
         assert snapshot["histograms"]["h"]["p50"] == 3.0
-
-    def test_merge_counters(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(1)
-        registry.merge_counters({"c": 4, "d": 2})
-        assert registry.counter("c").value == 5
-        assert registry.counter("d").value == 2
 
     def test_timed_context_manager(self):
         registry = MetricsRegistry()
@@ -304,47 +296,6 @@ class TestTrackerInstrumentation:
         counters = registry.snapshot()["counters"]
         assert counters["window_rotations_total"] == 100 // 5
         assert counters["window_buckets_expired_total"] > 0
-
-
-class TestParallelInstrumentation:
-    def test_serial_engine_metrics(self):
-        registry = MetricsRegistry()
-        stream = list(range(50)) * 4
-        with use_registry(registry):
-            __, summary = parallel_sketch(stream, 3, 64, seed=0,
-                                          n_workers=1, chunk_size=32)
-        snapshot = registry.snapshot()
-        counters = snapshot["counters"]
-        assert counters["parallel_shards_total"] == summary.n_shards
-        assert counters["parallel_items_total"] == len(stream)
-        # Worker-side sketch updates were folded into the parent registry.
-        assert counters["countsketch_updates_total"] > 0
-        merge = snapshot["histograms"]["parallel_merge_seconds"]
-        assert merge["count"] == summary.n_shards
-        assert snapshot["gauges"]["parallel_workers"] == 1.0
-
-    def test_fork_engine_merges_worker_counters(self):
-        from repro.parallel.engine import resolve_executor
-
-        if resolve_executor(2) != "fork":
-            pytest.skip("fork start method unavailable")
-        registry = MetricsRegistry()
-        stream = list(range(40)) * 5
-        with use_registry(registry):
-            top, summary = parallel_topk(stream, 5, 3, 64, seed=0,
-                                         n_workers=2, chunk_size=25)
-        counters = registry.snapshot()["counters"]
-        assert summary.executor == "fork"
-        assert counters["parallel_shards_total"] == summary.n_shards
-        # Updates happened in forked children yet must be visible here.
-        assert counters["countsketch_updates_total"] > 0
-        assert counters["topk_updates_total"] > 0
-
-    def test_engine_is_silent_by_default(self):
-        registry = MetricsRegistry()
-        parallel_sketch(list(range(100)), 3, 64, seed=0, n_workers=1,
-                        chunk_size=32)
-        assert registry.snapshot()["counters"] == {}
 
 
 PROMETHEUS_LINE = re.compile(

@@ -1,10 +1,10 @@
 """Checkpoint/resume: killed ingestion resumes bit-for-bit.
 
-The serial path (:class:`CheckpointManager`) and the sharded path
-(:class:`ShardCheckpointStore` behind ``parallel_sketch`` /
-``parallel_topk``) share one acceptance bar: a run that is interrupted
-and resumed must end in exactly the state an uninterrupted run reaches —
-same counters, same top-k, same estimates.
+:class:`CheckpointManager` is held to one acceptance bar: a run that is
+interrupted and resumed must end in exactly the state an uninterrupted
+run reaches — same counters, same top-k, same estimates.  Its chunked
+:meth:`~CheckpointManager.extend` must write the same snapshots, at the
+same record counts, as a per-record feed.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ import random
 import pytest
 
 from repro.core.countsketch import CountSketch
+from repro.core.sparse import SparseCountSketch
 from repro.core.topk import TopKTracker
 from repro.core.vectorized import VectorizedCountSketch
 from repro.core.windowed import JumpingWindowSketch
-from repro.parallel.engine import parallel_sketch, parallel_topk
 from repro.store import (
     CheckpointManager,
     CheckpointMismatchError,
@@ -28,6 +28,7 @@ from repro.store import (
     load_with_meta,
     save,
 )
+from repro.streams.io import DEFAULT_CHUNK_SIZE
 
 
 def make_stream(n=400, seed=11):
@@ -233,104 +234,76 @@ class TestShardStore:
         with pytest.raises(CheckpointMismatchError, match="width"):
             store.ensure_manifest({**params, "width": 128})
 
-    def test_shard_round_trip_with_candidates(self, tmp_path):
-        store = ShardCheckpointStore(tmp_path / "ckpt")
-        sketch = CountSketch(3, 16, seed=2)
-        sketch.extend(["a", "b", "a"])
-        candidates = ["a", ("t", 1), b"\x00raw"]
-        store.save_shard(4, sketch, items=3, candidates=candidates)
-        assert store.covered_indices() == [4]
-        [(index, restored, meta)] = list(store.load_shards())
-        assert index == 4
-        assert restored == sketch
-        assert meta["items"] == 3
-        assert meta["candidates"] == candidates
 
-    def test_renamed_shard_file_detected(self, tmp_path):
-        store = ShardCheckpointStore(tmp_path / "ckpt")
-        store.save_shard(0, CountSketch(3, 16), items=0)
-        store.shard_path(0).rename(store.shard_path(1))
-        with pytest.raises(StoreError, match="chunk_index"):
-            list(store.load_shards())
+class RecordingManager(CheckpointManager):
+    """Records ``(items_consumed, snapshot bytes)`` at every flush."""
 
-    def test_clear_removes_everything(self, tmp_path):
-        store = ShardCheckpointStore(tmp_path / "ckpt")
-        store.ensure_manifest({"depth": 3})
-        store.save_shard(0, CountSketch(3, 16), items=0)
-        store.clear()
-        assert store.covered_indices() == []
-        assert store.read_manifest() is None
+    def __init__(self, *args, **kwargs):
+        self.history = []
+        super().__init__(*args, **kwargs)
+
+    def flush(self) -> int:
+        written = super().flush()
+        self.history.append((self.items_consumed, self.path.read_bytes()))
+        return written
 
 
-class TestParallelResume:
-    def test_sketch_resume_matches_uninterrupted(self, tmp_path):
-        stream = make_stream(1000)
-        reference, __ = parallel_sketch(
-            stream, 3, 64, seed=7, chunk_size=100
+class TestChunkedExtend:
+    """``extend`` applies chunks, yet checkpoints as a per-record feed."""
+
+    EVERY = 1_500  # neither divides nor is divided by the chunk size
+    LENGTH = 3 * DEFAULT_CHUNK_SIZE + 1_001  # a multiple of neither
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: TopKTracker(5, depth=3, width=64, seed=4),
+            lambda: CountSketch(3, 64, seed=4),
+            lambda: SparseCountSketch(3, 64, seed=4),
+        ],
+        ids=["topk", "sketch", "sparse"],
+    )
+    def test_same_checkpoints_as_per_record_feed(self, tmp_path, factory):
+        assert DEFAULT_CHUNK_SIZE % self.EVERY
+        assert self.EVERY % DEFAULT_CHUNK_SIZE
+        assert self.LENGTH % DEFAULT_CHUNK_SIZE
+        assert self.LENGTH % self.EVERY
+        stream = make_stream(self.LENGTH, seed=6)
+        chunked = RecordingManager(
+            factory(), tmp_path / "chunked.rcs", every_items=self.EVERY
         )
+        chunked.extend(stream)
+        per_record = RecordingManager(
+            factory(), tmp_path / "per-record.rcs", every_items=self.EVERY
+        )
+        for item in stream:
+            per_record.update(item)
+        per_record.flush()
+        assert len(chunked.history) == self.LENGTH // self.EVERY + 1
+        assert chunked.history == per_record.history
 
-        ckpt = tmp_path / "ckpt"
-        # First attempt dies after 5 chunks' worth of input.
-        parallel_sketch(
-            stream[:500], 3, 64, seed=7, chunk_size=100, checkpoint_dir=ckpt
+    def test_resumed_extend_keeps_the_boundaries(self, tmp_path):
+        stream = make_stream(5_000, seed=2)
+        path = tmp_path / "c.rcs"
+        first = CheckpointManager(
+            TopKTracker(5, depth=3, width=64, seed=4), path, every_items=700
         )
-        assert len(ShardCheckpointStore(ckpt).covered_indices()) == 5
+        first.extend(stream[:1_234])
+        resumed = RecordingManager.resume(path, every_items=700)
+        resumed.extend(stream[1_234:])
+        assert [n for n, __ in resumed.history] == [
+            1_934, 2_634, 3_334, 4_034, 4_734, 5_000,
+        ]
+        reference = TopKTracker(5, depth=3, width=64, seed=4)
+        for item in stream:
+            reference.update(item)
+        assert resumed.summary.top() == reference.top()
+        assert resumed.summary.sketch == reference.sketch
 
-        resumed, summary = parallel_sketch(
-            stream, 3, 64, seed=7, chunk_size=100, checkpoint_dir=ckpt
+    def test_every_seconds_is_checked_once_per_chunk(self, tmp_path):
+        manager = CheckpointManager(
+            CountSketch(3, 16), tmp_path / "c.rcs", every_seconds=1e-9
         )
-        assert resumed == reference
-        assert summary.restored_shards == 5
-        assert summary.restored_items == 500
-
-    def test_topk_resume_matches_uninterrupted(self, tmp_path):
-        stream = make_stream(1000, seed=3)
-        reference, __ = parallel_topk(
-            stream, 5, 3, 64, seed=7, chunk_size=100
-        )
-
-        ckpt = tmp_path / "ckpt"
-        parallel_topk(
-            stream[:400], 5, 3, 64, seed=7, chunk_size=100,
-            checkpoint_dir=ckpt,
-        )
-        resumed, summary = parallel_topk(
-            stream, 5, 3, 64, seed=7, chunk_size=100, checkpoint_dir=ckpt
-        )
-        assert resumed == reference
-        assert summary.restored_shards == 4
-
-    def test_completed_run_rerun_is_idempotent(self, tmp_path):
-        stream = make_stream(600, seed=5)
-        ckpt = tmp_path / "ckpt"
-        first, __ = parallel_sketch(
-            stream, 3, 64, seed=7, chunk_size=100, checkpoint_dir=ckpt
-        )
-        again, summary = parallel_sketch(
-            stream, 3, 64, seed=7, chunk_size=100, checkpoint_dir=ckpt
-        )
-        assert again == first
-        assert summary.restored_shards == 6
-        assert summary.total_items == 600
-
-    def test_multiprocess_workers_checkpoint_too(self, tmp_path):
-        stream = make_stream(800, seed=8)
-        reference, __ = parallel_sketch(stream, 3, 64, seed=7, chunk_size=100)
-        ckpt = tmp_path / "ckpt"
-        resumed, summary = parallel_sketch(
-            stream, 3, 64, seed=7, n_workers=2, chunk_size=100,
-            checkpoint_dir=ckpt,
-        )
-        assert resumed == reference
-        assert len(ShardCheckpointStore(ckpt).covered_indices()) == 8
-
-    def test_mismatched_parameters_refused(self, tmp_path):
-        stream = make_stream(300)
-        ckpt = tmp_path / "ckpt"
-        parallel_sketch(
-            stream, 3, 64, seed=7, chunk_size=100, checkpoint_dir=ckpt
-        )
-        with pytest.raises(CheckpointMismatchError, match="seed"):
-            parallel_sketch(
-                stream, 3, 64, seed=8, chunk_size=100, checkpoint_dir=ckpt
-            )
+        manager.extend(make_stream(2 * DEFAULT_CHUNK_SIZE + 1))
+        # Three chunks, each due, plus the closing flush.
+        assert manager.checkpoints_written == 4
