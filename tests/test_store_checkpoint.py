@@ -234,6 +234,44 @@ class TestShardStore:
         with pytest.raises(CheckpointMismatchError, match="width"):
             store.ensure_manifest({**params, "width": 128})
 
+    def test_fresh_directory_is_created_without_a_manifest(self, tmp_path):
+        store = ShardCheckpointStore(tmp_path / "a" / "b")
+        assert (tmp_path / "a" / "b").is_dir()
+        assert store.read_manifest() is None
+
+    def test_pinned_manifest_is_verified_by_a_new_store(self, tmp_path):
+        params = {"n_shards": 2, "tables": [{"name": "q", "width": 64}]}
+        ShardCheckpointStore(tmp_path).ensure_manifest(params)
+        reopened = ShardCheckpointStore(tmp_path)
+        assert reopened.read_manifest() == params
+        reopened.ensure_manifest(params)
+        with pytest.raises(CheckpointMismatchError, match="n_shards"):
+            reopened.ensure_manifest({**params, "n_shards": 3})
+
+    def test_mismatch_names_every_differing_key(self, tmp_path):
+        store = ShardCheckpointStore(tmp_path)
+        store.ensure_manifest({"depth": 3, "width": 64, "seed": 0})
+        with pytest.raises(CheckpointMismatchError) as caught:
+            store.ensure_manifest({"depth": 3, "width": 32, "shards": 2})
+        message = str(caught.value)
+        assert "seed: manifest records 0, this run wants None" in message
+        assert "shards: manifest records None, this run wants 2" in message
+        assert "width: manifest records 64, this run wants 32" in message
+        assert "depth" not in message
+        # A refused run leaves the pinned manifest as it was.
+        assert store.read_manifest() == {"depth": 3, "width": 64, "seed": 0}
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[1, 2]"], ids=["invalid-json", "not-an-object"]
+    )
+    def test_unreadable_manifest_is_a_store_error(self, tmp_path, text):
+        (tmp_path / ShardCheckpointStore.MANIFEST_NAME).write_text(text)
+        store = ShardCheckpointStore(tmp_path)
+        with pytest.raises(StoreError, match="manifest|JSON object"):
+            store.read_manifest()
+        with pytest.raises(StoreError):
+            store.ensure_manifest({"depth": 3})
+
 
 class RecordingManager(CheckpointManager):
     """Records ``(items_consumed, snapshot bytes)`` at every flush."""
@@ -299,6 +337,37 @@ class TestChunkedExtend:
             reference.update(item)
         assert resumed.summary.top() == reference.top()
         assert resumed.summary.sketch == reference.sketch
+
+    @pytest.mark.parametrize(
+        ("every", "length"),
+        [
+            (1, 300),
+            (DEFAULT_CHUNK_SIZE, 2 * DEFAULT_CHUNK_SIZE + 5),
+            (2 * DEFAULT_CHUNK_SIZE, 5 * DEFAULT_CHUNK_SIZE + 3),
+            (DEFAULT_CHUNK_SIZE + 7, DEFAULT_CHUNK_SIZE + 6),
+            (10, 0),
+        ],
+        ids=["every-record", "chunk-size", "twice-chunk-size",
+             "beyond-stream", "empty-stream"],
+    )
+    def test_cadence_edges_match_per_record_feed(
+        self, tmp_path, every, length
+    ):
+        stream = make_stream(length, seed=8)
+        chunked = RecordingManager(
+            CountSketch(3, 32, seed=1), tmp_path / "chunked.rcs",
+            every_items=every,
+        )
+        chunked.extend(stream)
+        per_record = RecordingManager(
+            CountSketch(3, 32, seed=1), tmp_path / "per-record.rcs",
+            every_items=every,
+        )
+        for item in stream:
+            per_record.update(item)
+        per_record.flush()
+        assert len(chunked.history) == length // every + 1
+        assert chunked.history == per_record.history
 
     def test_every_seconds_is_checked_once_per_chunk(self, tmp_path):
         manager = CheckpointManager(

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.streams.io import (
+    StreamFormatError,
+    TextStreamReader,
     iter_stream_text,
     read_stream_jsonl,
     read_stream_text,
@@ -196,3 +198,54 @@ class TestStreamIO:
         revived = read_stream_jsonl(path)
         for original, loaded in zip(items, revived, strict=True):
             assert encode_key(tuple(original)) == encode_key(loaded)
+
+
+class TestStreamFormatError:
+    """A line that cannot be read is one error naming the file and line."""
+
+    def test_non_integer_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ints.txt"
+        path.write_bytes(b"1\n2\nx\n4\n")
+        items = iter_stream_text(path, as_int=True)
+        assert [next(items), next(items)] == [1, 2]
+        with pytest.raises(StreamFormatError) as caught:
+            next(items)
+        assert isinstance(caught.value, ValueError)
+        assert str(caught.value) == f"{path}, line 3: not an integer: 'x'"
+
+    def test_crlf_non_integer_line_reports_the_stripped_value(
+        self, tmp_path
+    ):
+        path = tmp_path / "ints.txt"
+        path.write_bytes(b"1\r\nbad\r\n")
+        with pytest.raises(StreamFormatError,
+                           match=r"line 2: not an integer: 'bad'$"):
+            list(iter_stream_text(path, as_int=True))
+
+    @pytest.mark.parametrize(
+        ("content", "line"),
+        [
+            (b"\xff\xfe\nok\n", 1),
+            # Far past the decoder's read-ahead block.
+            (b"item-12345\n" * 14_999 + b"bad-\xff\n" + b"ok\n" * 10,
+             15_000),
+            (b"a\nb\nc\xff", 3),
+            (b"caf\xc3\xa9\ncaf\xc3\n", 2),
+        ],
+        ids=["first-line", "deep-line", "last-line-no-newline",
+             "truncated-sequence"],
+    )
+    def test_undecodable_line_is_named(self, tmp_path, content, line):
+        path = tmp_path / "stream.txt"
+        path.write_bytes(content)
+        with pytest.raises(StreamFormatError) as caught:
+            list(iter_stream_text(path))
+        assert str(caught.value) == f"{path}, line {line}: not UTF-8 text"
+
+    def test_readers_built_on_iter_stream_text_raise_it(self, tmp_path):
+        path = tmp_path / "ints.txt"
+        path.write_bytes(b"7\nseven\n")
+        with pytest.raises(StreamFormatError, match="line 2"):
+            read_stream_text(path, as_int=True)
+        with pytest.raises(StreamFormatError, match="line 2"):
+            list(TextStreamReader(path, as_int=True))
