@@ -9,7 +9,9 @@ Measures, per summary type and sketch width:
 * a :class:`~repro.store.CheckpointManager` ingestion pass, reported as
   items/s alongside the same ``update_batch`` chunks applied without
   checkpointing, so the per-checkpoint cost is visible as an overhead
-  percentage.
+  percentage.  The two passes are taken as alternating pairs (ABBA, as
+  ``bench_overhead.py`` takes its off/on pairs), and the overhead is
+  the median of the per-pair overheads, with their range.
 
 Every timed round-trip also asserts exactness (``loads(dumps(s)) == s``
 state), so the bench doubles as a coarse correctness smoke.
@@ -26,8 +28,8 @@ Run::
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -46,6 +48,11 @@ OUT_PATH = Path(__file__).parent / "out" / "BENCH_store.json"
 
 DEPTH = 5
 SEED = 0
+
+#: Plain/checkpointed pairs of the checkpoint cell.  One unpaired pass of
+#: each read +11.03% and +27.48% overhead in two back-to-back full-size
+#: runs of the same code (2 shared vCPUs).
+CHECKPOINT_PAIRS = 5
 
 
 def _make_stream(n: int) -> list:
@@ -114,44 +121,63 @@ def bench_snapshot(kind: str, width: int, stream: list, repeats: int,
     }
 
 
-def bench_checkpoint(stream: list, width: int, every_items: int,
-                     tmp_dir: Path) -> dict:
-    """Checkpointed vs plain ingestion throughput for a TopKTracker.
+def _checkpoint_pair(stream: list, width: int, every_items: int,
+                     path: Path, index: int) -> tuple[float, float]:
+    """One plain and one checkpointed pass over ``stream``, as items/s.
 
-    The plain side cuts the stream into the chunks
-    :meth:`CheckpointManager.extend` applies (at most
-    ``DEFAULT_CHUNK_SIZE`` records, ending at every ``every_items``
-    boundary) and applies each with ``update_batch``, so the overhead
-    is the snapshots alone.
+    Both sides apply the chunks :meth:`CheckpointManager.extend` cuts
+    (at most ``DEFAULT_CHUNK_SIZE`` records, ending at every
+    ``every_items`` boundary) with ``update_batch``; the checkpointed
+    side goes through the manager, which snapshots at each boundary and
+    once more at the end, as ``extend`` does.  The passes advance
+    together, one ``every_items`` segment at a time, alternating which
+    side goes first (ABBA), so host noise lasting longer than a segment
+    lands on both sides alike.
     """
     plain = TopKTracker(10, depth=DEPTH, width=width, seed=SEED)
-    records = iter(stream)
-    consumed = 0
-    start = time.perf_counter()
-    while chunk := list(itertools.islice(records, min(
-            DEFAULT_CHUNK_SIZE, every_items - consumed % every_items))):
-        plain.update_batch(chunk)
-        consumed += len(chunk)
-    plain_rate = len(stream) / (time.perf_counter() - start)
-
     manager = CheckpointManager(
-        TopKTracker(10, depth=DEPTH, width=width, seed=SEED),
-        tmp_dir / "checkpoint.rcs",
+        TopKTracker(10, depth=DEPTH, width=width, seed=SEED), path,
         every_items=every_items,
     )
-    start = time.perf_counter()
-    manager.extend(stream)
-    checkpointed_rate = len(stream) / (time.perf_counter() - start)
+    sides = (plain.update_batch, manager.update_batch)
+    elapsed = [0.0, 0.0]
+    for step, first in enumerate(range(0, len(stream), every_items)):
+        segment = stream[first:first + every_items]
+        for side in ((0, 1) if (step + index) % 2 == 0 else (1, 0)):
+            began = time.perf_counter()
+            for start in range(0, len(segment), DEFAULT_CHUNK_SIZE):
+                sides[side](segment[start:start + DEFAULT_CHUNK_SIZE])
+            elapsed[side] += time.perf_counter() - began
+    began = time.perf_counter()
+    manager.flush()
+    elapsed[1] += time.perf_counter() - began
+    return len(stream) / elapsed[0], len(stream) / elapsed[1]
 
+
+def bench_checkpoint(stream: list, width: int, every_items: int,
+                     tmp_dir: Path) -> dict:
+    """Checkpointed vs plain ingestion throughput for a TopKTracker:
+    each side's median items/s over :data:`CHECKPOINT_PAIRS` pairs, and
+    the median and range of the per-pair overheads."""
+    pairs = [
+        _checkpoint_pair(stream, width, every_items,
+                         tmp_dir / "checkpoint.rcs", index)
+        for index in range(CHECKPOINT_PAIRS)
+    ]
+    overheads = [100.0 * (plain - checkpointed) / plain
+                 for plain, checkpointed in pairs]
     return {
         "width": width,
         "every_items": every_items,
         "checkpoints": len(stream) // every_items + 1,
-        "plain_items_per_s": round(plain_rate),
-        "checkpointed_items_per_s": round(checkpointed_rate),
-        "overhead_pct": round(
-            100.0 * (plain_rate - checkpointed_rate) / plain_rate, 2
-        ),
+        "pairs": len(pairs),
+        "plain_items_per_s": round(
+            statistics.median(plain for plain, __ in pairs)),
+        "checkpointed_items_per_s": round(
+            statistics.median(checkpointed for __, checkpointed in pairs)),
+        "overhead_pct": round(statistics.median(overheads), 2),
+        "overhead_pct_range": [round(min(overheads), 2),
+                               round(max(overheads), 2)],
     }
 
 
@@ -194,10 +220,11 @@ def format_report(record: dict) -> str:
         )
     ckpt = record["checkpoint"]
     lines.append(
-        "  checkpoint (topk w={width}, every {every_items}): "
-        "{plain_items_per_s:,} items/s plain | "
+        "  checkpoint (topk w={width}, every {every_items}, median of "
+        "{pairs} pairs): {plain_items_per_s:,} items/s plain | "
         "{checkpointed_items_per_s:,} items/s checkpointed | "
         "{overhead_pct:+.2f}% overhead".format(**ckpt)
+        + " (pairs {:+.2f}% to {:+.2f}%)".format(*ckpt["overhead_pct_range"])
     )
     return "\n".join(lines)
 

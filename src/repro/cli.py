@@ -224,6 +224,23 @@ def _usage_fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _parse_int_items(args: argparse.Namespace) -> str | None:
+    """Under ``--int-keys``, turn the ITEM arguments (``estimate``,
+    ``store diff``, ``query estimate``, ``cache stats``) into ints in
+    place, before any file is read or server reached; returns a usage
+    error naming the first item that is not an integer, or None."""
+    if not getattr(args, "int_keys", False) or not hasattr(args, "items"):
+        return None
+    items = []
+    for item in args.items:
+        try:
+            items.append(int(item))
+        except ValueError:
+            return f"--int-keys: item {item!r} is not an integer"
+    args.items = items
+    return None
+
+
 def _check_state_flags(args: argparse.Namespace) -> str | None:
     """Validate the persistence flag combinations; returns an error or None."""
     if args.checkpoint_every is not None and args.save_state is None:
@@ -275,6 +292,8 @@ def _ingest_with_state(
 
 
 def _cmd_topk(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        return _usage_fail("--k must be at least 1")
     problem = _check_state_flags(args)
     if problem is not None:
         return _usage_fail(problem)
@@ -309,7 +328,7 @@ def _cmd_topk(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    queries = [int(q) if args.int_keys else q for q in args.items]
+    queries = args.items
     if args.sketch is not None:
         # Query a saved snapshot directly: no stream input involved.
         if args.input or args.resume or args.save_state:
@@ -460,7 +479,7 @@ def _diff_rows(
 
 
 def _cmd_store_diff(args: argparse.Namespace) -> int:
-    items = [int(q) if args.int_keys else q for q in args.items]
+    items = args.items
     if args.archive is not None:
         try:
             epoch_a, epoch_b = int(args.before), int(args.after)
@@ -829,16 +848,22 @@ def _query_ingest(client: _QueryClient, args: argparse.Namespace) -> int:
     total = 0
     # wait=True applies each batch before the next send: natural flow
     # control, so a well-behaved producer never sees `overloaded`.
-    for batch in iter_chunks(source, args.batch_size):
-        client.ingest_items(args.table, batch, wait=True)
-        total += len(batch)
+    try:
+        for batch in iter_chunks(source, args.batch_size):
+            client.ingest_items(args.table, batch, wait=True)
+            total += len(batch)
+    except StreamFormatError as error:
+        # The batches before the bad line are applied: say how many, and
+        # where a rerun picks up after them once the line is fixed.
+        return _fail(f"{error} ({total} records were acknowledged before "
+                     f"it; resume with --skip {args.skip + total})")
     skipped = f" (skipped {args.skip})" if args.skip else ""
     print(f"ingested {total} records into {args.table!r}{skipped}")
     return EXIT_OK
 
 
 def _query_estimate(client: _QueryClient, args: argparse.Namespace) -> int:
-    queries = [int(q) if args.int_keys else q for q in args.items]
+    queries = args.items
     estimates = client.estimate(args.table, queries)
     rows = [[str(item), value]
             for item, value in zip(queries, estimates, strict=True)]
@@ -1106,8 +1131,7 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
         indent=2, sort_keys=True,
     ))
     if args.items:
-        queries = [int(q) if args.int_keys else q for q in args.items]
-        rows = [[str(q), oracle.estimate(q)] for q in queries]
+        rows = [[str(q), oracle.estimate(q)] for q in args.items]
         print(format_table(
             ["item", "admission estimate"], rows,
             title=f"decayed frequencies from {args.sketch}",
@@ -1669,6 +1693,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _parse_int_items(args)
+    if problem is not None:
+        return _usage_fail(problem)
     try:
         return _run_with_metrics(args, args.handler)
     except (StoreError, OSError, StreamFormatError) as error:

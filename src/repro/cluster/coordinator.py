@@ -8,12 +8,14 @@ routing *and* sketching); queries scatter to every shard and gather
 exact answers:
 
 * ``estimate`` — each shard returns its per-row signed counter readouts
-  (the new ``estimate_rows`` op).  By §3.2 linearity those integers sum,
-  row by row, to the readouts of the merged sketch, so the coordinator
-  adds them and applies the median — **bit-equal** to
-  querying one offline sketch fed every record.  Integer sums commute
-  and never round, so neither the partition nor the gather order can
-  perturb the answer.
+  (the ``estimate_rows`` op) for keys the coordinator encodes once per
+  scatter.  By §3.2 linearity those integers sum, row by row, to the
+  readouts of the merged sketch, so the coordinator adds them in int64
+  and takes the float64 median :meth:`CountSketch.estimate_batch` takes
+  — **bit-equal** to querying one offline sketch fed every record.  The
+  int64 sums wrap mod 2**64 exactly as the merged sketch's counters do,
+  and addition mod 2**64 commutes, so neither the partition nor the
+  gather order can perturb the answer, past int64 included.
 * ``topk`` — shard-local candidate lists are unioned and every candidate
   is re-scored globally through the same summed readouts (the
   union-then-rescore step of :meth:`ClusterCoordinator.topk`, §4.1
@@ -34,7 +36,6 @@ method-for-method so the CLI query path works against either.
 from __future__ import annotations
 
 import asyncio
-import statistics
 import threading
 import time
 from typing import TYPE_CHECKING, Any
@@ -43,7 +44,14 @@ import numpy as np
 
 from repro.cluster.routing import partition_keys
 from repro.observability.registry import MetricsRegistry, get_registry
-from repro.service.client import AsyncServiceClient, ingest_columns, unzip_records
+from repro.service.client import (
+    AsyncServiceClient,
+    ServiceError,
+    ingest_columns,
+    item_column,
+    unzip_records,
+)
+from repro.service.protocol import encode_wire_key
 from repro.service.tables import TableSpec
 from repro.store.archive import ArchiveDiffEntry
 
@@ -76,37 +84,27 @@ class _ClusterMetrics:
         self.shards = registry.gauge("cluster_shards")
 
 
-def _median_rows(rows: Sequence[Sequence[int]]) -> list[float]:
-    """Finalize summed row readouts with the paper's median.
-
-    Each entry of ``rows`` is one item's depth-length list of summed
-    integer readouts.  ``statistics.median`` over per-row float casts is
-    exactly :meth:`CountSketch.estimate`'s arithmetic (``float(a·s) ==
-    float(a)·s`` for ``s = ±1``), and it is also bit-equal to the
-    float64 ``np.median`` reduction of :meth:`CountSketch.estimate_batch`
-    that a single server answers with, whatever the sketch's hash family:
-    both return the middle value, or half the sum of the two middle
-    values, of the same floats.
-    """
-    return [
-        statistics.median([float(value) for value in item_rows])
-        for item_rows in rows
-    ]
+def _medians(rows: np.ndarray) -> list[float]:
+    """Finalize summed ``(n, depth)`` row readouts with the paper's
+    median: the float64 ``np.median`` over each key's rows that
+    :meth:`CountSketch.estimate_batch` takes, so every estimate is
+    bit-equal to the merged sketch's."""
+    medians: list[float] = np.median(rows.T.astype(np.float64),
+                                     axis=0).tolist()
+    return medians
 
 
-def _sum_rows(
-    per_shard: Sequence[list[list[int]]],
-) -> list[list[int]]:
-    """Elementwise integer sum of per-shard ``estimate_rows`` payloads."""
-    if not per_shard:
-        return []
-    summed = [list(item_rows) for item_rows in per_shard[0]]
-    for shard_rows in per_shard[1:]:
-        for item_index, item_rows in enumerate(shard_rows):
-            target = summed[item_index]
-            for row_index, value in enumerate(item_rows):
-                target[row_index] += value
-    return summed
+def _summed(per_shard: Sequence[np.ndarray]) -> np.ndarray:
+    """The shards' ``(n, depth)`` readouts summed in int64: each cell
+    wraps mod 2**64 as the merged sketch's counter does."""
+    try:
+        return np.stack(per_shard).sum(axis=0, dtype=np.int64)
+    except ValueError:
+        raise ServiceError(
+            "internal",
+            "shards answered estimate_rows with different shapes: "
+            f"{[rows.shape for rows in per_shard]}",
+        ) from None
 
 
 class ClusterCoordinator:
@@ -241,9 +239,11 @@ class ClusterCoordinator:
         :meth:`~repro.service.tables.TableSpec.check_counts`), and keys
         encoded once, before any shard is sent anything, so a refused
         batch leaves every shard untouched.  The u64 images drive
-        jump-hash routing; a shard gets ``keys[positions]`` (on ``topk``
-        tables, whose heaps store items, the items picked) with
-        ``counts[positions]``.
+        jump-hash routing; a shard gets ``keys[positions]`` with
+        ``counts[positions]``.  On ``topk`` tables, whose heaps store
+        items, it gets the items picked instead: ``items[positions]`` of
+        their int64 column when every item is an int in int64 range
+        (see :func:`~repro.service.client.item_column`), else a list.
 
         ``wait=True`` acknowledges only after every routed sub-batch is
         *applied* on its shard — the cluster-wide read barrier.
@@ -260,18 +260,24 @@ class ClusterCoordinator:
         if not isinstance(items, np.ndarray):
             items = list(items)
         spec = await self._table_spec(table)
+        packed = spec.packed_keys
+        if packed:
+            items = item_column(items)
         keys, weights = ingest_columns(items, counts, spec, raw=True)
         assert isinstance(keys, np.ndarray)  # raw columns are key images
         if not keys.size:
             return 0
-        packed = spec.packed_keys
         calls = []
         for shard, positions in enumerate(partition_keys(keys,
                                                          self.n_shards)):
             if positions.size:
-                routed: list[Hashable] | np.ndarray = (
-                    [items[index] for index in positions.tolist()]
-                    if packed else keys[positions])
+                routed: list[Hashable] | np.ndarray
+                if not packed:
+                    routed = keys[positions]
+                elif isinstance(items, np.ndarray):
+                    routed = items[positions]
+                else:
+                    routed = [items[index] for index in positions.tolist()]
                 calls.append(self._clients[shard].ingest_items(
                     table, routed, weights[positions], wait=wait))
         await self._gather(calls)
@@ -282,18 +288,26 @@ class ClusterCoordinator:
 
     # -- queries ------------------------------------------------------------
 
+    async def _rows(self, table: str, keys: Sequence[object]) -> np.ndarray:
+        """Scatter ``estimate_rows`` of wire-encoded ``keys`` (encoded
+        once, sent to every shard) and sum the shards' readouts in int64
+        into one ``(n, depth)`` array."""
+        return _summed(await self._gather(
+            client.estimate_rows_array(table, keys)
+            for client in self._clients
+        ))
+
     async def estimate_rows(
         self, table: str, items: Sequence[Hashable]
     ) -> list[list[int]]:
         """Scatter ``estimate_rows`` and sum the integer readouts.
 
         The result is exactly the merged sketch's per-row readouts for
-        each item (§3.2: shard readouts sum), before any median."""
-        per_shard = await self._gather(
-            client.estimate_rows(table, items)
-            for client in self._clients
-        )
-        return _sum_rows(per_shard)
+        each item (§3.2: shard readouts sum, in int64 as its counters
+        do), before any median."""
+        rows: list[list[int]] = (await self._rows(
+            table, [encode_wire_key(item) for item in items])).tolist()
+        return rows
 
     async def estimate(
         self, table: str, items: Sequence[Hashable]
@@ -306,10 +320,10 @@ class ClusterCoordinator:
         from shard-local heap priorities, which are not meaningful
         across shards.
         """
-        items = list(items)
-        if not items:
+        keys = [encode_wire_key(item) for item in items]
+        if not keys:
             return []
-        return _median_rows(await self.estimate_rows(table, items))
+        return _medians(await self._rows(table, keys))
 
     async def topk(
         self, table: str, k: int | None = None
@@ -336,7 +350,8 @@ class ClusterCoordinator:
         candidates = list(union)
         if not candidates:
             return []
-        scores = _median_rows(await self.estimate_rows(table, candidates))
+        scores = _medians(await self._rows(
+            table, [encode_wire_key(item) for item in candidates]))
         ranked = sorted(
             zip(candidates, scores, strict=True),
             key=lambda pair: (-pair[1], repr(pair[0])),
@@ -355,8 +370,9 @@ class ClusterCoordinator:
 
         Evaluates the §3.2 *difference sketch* ``after - before``
         without materialising it: per-item row readouts of both tables
-        are summed across shards, subtracted, and finalized with the
-        median — bit-equal to
+        are summed across shards and subtracted, in int64 as the
+        sketches' counters are, and finalized with the median — bit-equal
+        to
         :meth:`repro.store.archive.SketchArchive.diff` over the merged
         sketches.  Candidates default to the union of both tables'
         shard-local top-k lists (both must then be ``topk`` tables);
@@ -389,18 +405,14 @@ class ClusterCoordinator:
             candidates = list(seen)
         if not candidates:
             return []
+        keys = [encode_wire_key(item) for item in candidates]
         rows_before, rows_after = await self._gather([
-            self.estimate_rows(before, candidates),
-            self.estimate_rows(after, candidates),
+            self._rows(before, keys),
+            self._rows(after, keys),
         ])
-        diff_rows = [
-            [a - b for a, b in zip(item_after, item_before, strict=True)]
-            for item_before, item_after in zip(rows_before, rows_after,
-                                               strict=True)
-        ]
-        changes = _median_rows(diff_rows)
-        est_before = _median_rows(rows_before)
-        est_after = _median_rows(rows_after)
+        changes = _medians(rows_after - rows_before)
+        est_before = _medians(rows_before)
+        est_after = _medians(rows_after)
         entries = [
             ArchiveDiffEntry(
                 item=item,

@@ -20,7 +20,8 @@ Three layers:
 
 Ingest always travels as ``binary-ingest-v1`` frames — raw pre-encoded
 64-bit keys for tables that never store original items, lossless packed
-keys for ``topk`` tables.  Everything else travels as JSON.
+keys for ``topk`` tables (an all-int64 batch as one int64 column, packed
+in one array pass).  Everything else travels as JSON.
 
 Batches that would exceed ``MAX_FRAME_BYTES`` are split into several
 frames automatically.  Ack semantics per frame are unchanged — but a
@@ -299,12 +300,50 @@ class InProcessTransport:
         return None
 
 
+def _rows_array(rows: object, n: int) -> np.ndarray:
+    """One ``estimate_rows`` answer for ``n`` keys as an ``(n, depth)``
+    int64 array, its shape and integer type checked."""
+    if n == 0 and rows == []:
+        return np.zeros((0, 0), dtype=np.int64)
+    try:
+        array = np.array(rows)
+    except ValueError:  # ragged rows
+        array = None
+    if (array is None or array.dtype != np.int64 or array.ndim != 2
+            or len(array) != n):
+        raise ServiceError(
+            "internal",
+            f"malformed estimate_rows answer for {n} keys: expected one "
+            f"list of int64 row readouts per key, got {rows!r:.200}",
+        )
+    return array
+
+
 def unzip_records(
     records: Iterable[tuple[Hashable, int]],
 ) -> tuple[list[Hashable], list[int]]:
     """Split ``(item, count)`` records into an item and a count column."""
     pairs = list(records)
     return [item for item, _ in pairs], [count for _, count in pairs]
+
+
+def item_column(items: list[Hashable] | np.ndarray) -> np.ndarray | list[Hashable]:
+    """The items of one batch as the packed layout carries them: an int64
+    array when every item is an int in int64 range (a list of Python
+    ints, or an integer array whose values fit), else a list of the
+    items."""
+    if isinstance(items, np.ndarray):
+        if items.dtype.kind in "iu" and (
+                items.dtype != np.uint64 or not items.size
+                or items.max() <= np.iinfo(np.int64).max):
+            return items.astype(np.int64, copy=False)
+        return items.tolist()
+    if set(map(type, items)) == {int}:  # bool is its own type, not int
+        try:
+            return np.asarray(items, dtype=np.int64)
+        except OverflowError:
+            pass
+    return items
 
 
 def ingest_columns(
@@ -317,8 +356,8 @@ def ingest_columns(
     """One ingest batch for the table ``spec`` as a key column and a
     checked int64 count column (1 per item by default).  The keys are the
     items' uint64 ``encode_key`` images (a uint64 array passes as it is)
-    when ``raw``, otherwise the items in a list; ``raw`` defaults to the
-    table's own layout (see :attr:`TableSpec.packed_keys`).
+    when ``raw``, otherwise the items' :func:`item_column`; ``raw``
+    defaults to the table's own layout (see :attr:`TableSpec.packed_keys`).
 
     A count the core's :func:`~repro.core.countsketch.integral_weights`
     or the table's :meth:`~repro.service.tables.TableSpec.check_counts`
@@ -340,8 +379,7 @@ def ingest_columns(
     if raw is None:
         raw = not spec.packed_keys
     if not raw:
-        return (items.tolist() if isinstance(items, np.ndarray)
-                else items), weights
+        return item_column(items), weights
     try:
         return encode_keys(items), weights
     except TypeError:
@@ -414,20 +452,28 @@ class AsyncServiceClient:
         weights: np.ndarray,
         *,
         wait: bool,
+        raw: bool | None = None,
     ) -> list[tuple[bytes, slice]]:
         """Cut one batch's columns (see :func:`ingest_columns`) into
         binary ingest frames within the byte budget, each with its index
-        range; ``topk`` items are packed here.  Only the final frame
+        range; ``topk`` items are packed here.  ``raw`` is the table's
+        layout (``not spec.packed_keys``); left out, a key array is taken
+        as raw key images and a list as items.  Only the final frame
         carries ``wait``: the applier is FIFO per table."""
+        if raw is None:
+            raw = isinstance(keys, np.ndarray)
+        # Packed keys fill each frame greedily, leaving generous headroom
+        # for the fixed header and length fields.
+        budget = MAX_FRAME_BYTES - 4096
         blocks: np.ndarray | list[bytes]
         if isinstance(keys, np.ndarray):
-            step = binary_ingest_capacity(table)
+            # Raw key images, or an int64 item column whose every key
+            # packs to one 9-byte record: the cuts fall every `step`.
+            step = (binary_ingest_capacity(table) if raw
+                    else max(1, budget // (len(pack_key(0)) + 8)))
             cuts = [0, *range(step, len(keys), step), len(keys)]
             blocks = keys
         else:
-            # Packed keys are variable-size: fill greedily, leaving
-            # generous headroom for the fixed header and length fields.
-            budget = MAX_FRAME_BYTES - 4096
             blocks = [pack_key(item) for item in keys]
             cuts = [0]
             used = 0
@@ -440,8 +486,7 @@ class AsyncServiceClient:
             cuts.append(len(blocks))
         return [
             (pack_binary_ingest(table, next(self._ids), blocks[start:stop],
-                                weights[start:stop],
-                                raw=isinstance(blocks, np.ndarray),
+                                weights[start:stop], raw=raw,
                                 wait=wait and stop == len(weights)),
              slice(start, stop))
             for start, stop in zip(cuts, cuts[1:])
@@ -491,7 +536,8 @@ class AsyncServiceClient:
             for index, (keys, weights) in enumerate(columns)
             for frame, part in self._build_frames(
                 table, keys, weights,
-                wait=wait and index == len(columns) - 1)
+                wait=wait and index == len(columns) - 1,
+                raw=not spec.packed_keys)
         ]
         if not frames:
             return 0
@@ -532,9 +578,10 @@ class AsyncServiceClient:
         one frame are split transparently (the returned sequence number
         is the final sub-batch's).
         """
-        keys, weights = ingest_columns(items, counts,
-                                       await self._table_spec(table))
-        frames = self._build_frames(table, keys, weights, wait=wait)
+        spec = await self._table_spec(table)
+        keys, weights = ingest_columns(items, counts, spec)
+        frames = self._build_frames(table, keys, weights, wait=wait,
+                                    raw=not spec.packed_keys)
         last: dict[str, Any] = {}
         for response in await self._transport.request_stream(
                 [frame for frame, _ in frames]):
@@ -565,11 +612,27 @@ class AsyncServiceClient:
         bit-equal to a single merged sketch.  Linear-sketch tables only
         (``sketch``, ``vectorized``, ``topk``).
         """
-        response = await self._call(
-            "estimate_rows", table=table,
-            keys=[encode_wire_key(item) for item in items],
-        )
-        return [[int(value) for value in row] for row in response["rows"]]
+        rows = await self.estimate_rows_array(
+            table, [encode_wire_key(item) for item in items])
+        values: list[list[int]] = rows.tolist()
+        return values
+
+    async def estimate_rows_array(
+        self, table: str, keys: Sequence[object]
+    ) -> np.ndarray:
+        """:meth:`estimate_rows` of ``keys`` already encoded with
+        :func:`~repro.service.protocol.encode_wire_key`, as one
+        ``(len(keys), depth)`` int64 array, so a coordinator encodes a
+        scatter's keys once and sums the shards' answers in int64.
+
+        Raises:
+            ServiceError: ``internal`` for an answer that is not one
+                int64 row per key: ragged rows, a float (which ``int``
+                would truncate), a string, or a value outside int64.
+        """
+        response = await self._call("estimate_rows", table=table,
+                                    keys=list(keys))
+        return _rows_array(response.get("rows"), len(keys))
 
     async def topk(
         self, table: str, k: int | None = None

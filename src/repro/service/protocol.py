@@ -57,6 +57,9 @@ and the server refuses the other:
   binary encoding (:func:`pack_key` / :func:`unpack_key`) that
   round-trips the original object exactly, including surrogate-escaped
   strings, nested tuples, bytes, and the full Python ``int`` range.
+  An int64 key array is written as one array of the 9-byte records
+  ``pack_key`` writes for those ints, and a block made of nothing but
+  such records is read back in one array pass.
 
 This module is the only place binary payloads are encoded or decoded
 (lint rule RS008 enforces that); everything else handles frames as
@@ -201,8 +204,16 @@ def normalize_key(item: Hashable) -> Hashable:
     return item
 
 
+#: Key types that are their own wire value (``bool`` is not: it is its
+#: own type, not ``int``).
+_PLAIN_WIRE_KEYS = (int, str)
+
+
 def encode_wire_key(item: Hashable) -> object:
-    """Encode one stream key as a JSON-representable wire value."""
+    """Encode one stream key as a JSON-representable wire value (an
+    ``int`` or a ``str`` is its own)."""
+    if type(item) in _PLAIN_WIRE_KEYS:
+        return item
     return encode_item(normalize_key(item))
 
 
@@ -212,6 +223,8 @@ def decode_wire_key(value: object) -> Hashable:
     Raises:
         WireProtocolError: for values no key encoding produces.
     """
+    if type(value) in _PLAIN_WIRE_KEYS:
+        return value
     try:
         return decode_item(value)
     except SnapshotFormatError as error:
@@ -363,6 +376,10 @@ _U32 = struct.Struct("<I")
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
+
+#: One packed int64 key as ``pack_key`` writes it: the tag, then the
+#: value (9 bytes, unaligned).
+_I64_RECORD = np.dtype([("tag", "u1"), ("value", "<i8")])
 
 
 def _pack_key_into(out: bytearray, item: Hashable) -> None:
@@ -557,7 +574,9 @@ def pack_binary_ingest(
         table: destination table name.
         request_id: echoed in the (JSON) ack; must fit in u64.
         keys: raw mode — a ``uint64`` array of ``encode_key`` images;
-            packed mode — one :func:`pack_key` blob per record.
+            packed mode — one :func:`pack_key` blob per record, or an
+            ``int64`` array of int keys, written as one array of the
+            same 9-byte records ``pack_key`` writes.
         weights: per-record ``int64`` weights (same length as ``keys``).
         raw: selects the key block layout (see the module docstring).
         wait: ask the server to apply the batch before acking.
@@ -583,11 +602,24 @@ def pack_binary_ingest(
         key_block = np.ascontiguousarray(keys, dtype="<u8").tobytes()
         key_prefix = b""
     else:
-        blobs = list(keys)
-        if len(blobs) != int(weights_arr.size):
-            raise WireProtocolError("keys and weights must match in length")
-        n = len(blobs)
-        key_block = b"".join(blobs)
+        if isinstance(keys, np.ndarray):
+            if keys.dtype != np.int64:
+                raise WireProtocolError(
+                    "packed-mode binary key arrays must be int64"
+                )
+            if keys.shape != weights_arr.shape:
+                raise WireProtocolError("keys and weights must match in length")
+            records = np.empty(keys.size, dtype=_I64_RECORD)
+            records["tag"] = _KEY_I64
+            records["value"] = keys
+            key_block = records.tobytes()
+            n = int(keys.size)
+        else:
+            blobs = list(keys)
+            if len(blobs) != int(weights_arr.size):
+                raise WireProtocolError("keys and weights must match in length")
+            n = len(blobs)
+            key_block = b"".join(blobs)
         key_prefix = _U32.pack(len(key_block))
     if n > 0xFFFFFFFF:
         raise FrameTooLargeError("too many records for one binary frame")
@@ -608,6 +640,37 @@ def pack_binary_ingest(
             f"{MAX_FRAME_BYTES}-byte limit"
         )
     return _LENGTH.pack(len(body)) + body
+
+
+def _unpack_key_block(block: bytes, n: int) -> list[Hashable]:
+    """The ``n`` keys of one packed key block.
+
+    A block of exactly ``n`` 9-byte records, each tagged as an int64
+    (what an all-int batch packs to), is read in one array pass: if
+    every record's first byte is the int64 tag, parsing key by key would
+    find the same ``n`` ints.  Any other block is parsed key by key.
+    """
+    if len(block) == _I64_RECORD.itemsize * n:
+        records = np.frombuffer(block, dtype=_I64_RECORD)
+        if (records["tag"] == _KEY_I64).all():
+            values: list[Hashable] = records["value"].tolist()
+            return values
+    items = []
+    position = 0
+    for index in range(n):
+        try:
+            item, position = unpack_key(block, position)
+        except WireProtocolError as error:
+            raise WireProtocolError(
+                f"binary frame key {index} is malformed: {error}"
+            ) from error
+        items.append(item)
+    if position != len(block):
+        raise WireProtocolError(
+            f"binary frame key block carries {len(block) - position} "
+            "trailing bytes"
+        )
+    return items
 
 
 def _unpack_binary_ingest(body: bytes) -> BinaryIngest:
@@ -648,23 +711,8 @@ def _unpack_binary_ingest(body: bytes) -> BinaryIngest:
         (key_bytes,) = _U32.unpack_from(body, offset)
         offset += _U32.size
         _need(body, offset, key_bytes)
-        block = body[offset:offset + key_bytes]
+        items = _unpack_key_block(body[offset:offset + key_bytes], n)
         offset += key_bytes
-        items = []
-        position = 0
-        for index in range(n):
-            try:
-                item, position = unpack_key(block, position)
-            except WireProtocolError as error:
-                raise WireProtocolError(
-                    f"binary frame key {index} is malformed: {error}"
-                ) from error
-            items.append(item)
-        if position != len(block):
-            raise WireProtocolError(
-                f"binary frame key block carries {len(block) - position} "
-                "trailing bytes"
-            )
     _need(body, offset, 8 * n)
     weights = np.frombuffer(body, dtype="<i8", count=n, offset=offset)
     offset += 8 * n

@@ -94,6 +94,18 @@ SUCCESS = [
                  id="cache-stats"),
 ]
 
+#: Commands whose ITEM arguments ``--int-keys`` reads as integers, each
+#: given the item ``abc``.
+NON_INTEGER_ITEMS = [
+    ("estimate", ["estimate", "--input", "{stream}", "--int-keys", "abc"]),
+    ("store-diff", ["store", "diff", "{snap_a}", "{snap_b}", "--int-keys",
+                    "--items", "1", "abc"]),
+    ("query-estimate", ["query", "estimate", "--port", "1", "--table", "t",
+                        "--int-keys", "1", "abc"]),
+    ("cache-stats", ["cache", "stats", "--sketch", "{snap_cache}",
+                     "--int-keys", "abc"]),
+]
+
 USAGE = [
     pytest.param([], id="no-subcommand"),
     pytest.param(["topk"], id="topk-missing-input"),
@@ -177,6 +189,10 @@ USAGE = [
                  id="traffic-zero-clients"),
     pytest.param(["traffic", "--arrival", "staircase"],
                  id="traffic-unknown-arrival"),
+    # Checked before any input is read, snapshot loaded or server reached.
+    pytest.param(["topk", "--input", "{stream}", "--k", "0"], id="topk-k-zero"),
+    *[pytest.param(argv, id=f"{name}-non-integer-item")
+      for name, argv in NON_INTEGER_ITEMS],
 ]
 
 DATA = [
@@ -249,6 +265,20 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert "--checkpoint-dir" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        *[pytest.param(argv, "error: --int-keys: item 'abc' is not an "
+                       "integer\n", id=name)
+          for name, argv in NON_INTEGER_ITEMS],
+        pytest.param(["topk", "--input", "{stream}", "--k", "0"],
+                     "error: --k must be at least 1\n", id="topk-k-zero"),
+    ])
+    def test_bad_values_are_one_usage_line(self, paths, capsys, argv,
+                                           message):
+        code = main(fill(argv, paths))
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.err == message
 
     @pytest.mark.parametrize("name, flags, line, problem", [
         ("not_int", ["--int-keys"], 3, "not an integer: 'three'"),

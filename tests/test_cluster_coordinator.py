@@ -15,6 +15,8 @@ import random
 import pytest
 
 from repro.cluster.coordinator import ClusterCoordinator
+from repro.cluster.routing import partition_keys
+from repro.hashing.vectorized import encode_keys
 from repro.service.server import SketchServer
 from repro.service.tables import TableSpec
 
@@ -237,6 +239,99 @@ class TestMaxChange:
             servers, cluster = make_cluster(
                 2, [spec_for("topk", name="b"), spec_for("topk", name="a")])
             assert await cluster.maxchange("b", "a") == []
+            await stop_all(servers)
+
+        run(go())
+
+
+#: A count two of which sum to 2**63 + 2**62, past int64.
+BIG = 2**62 + 2**61
+
+
+def same_sign_pair(spec: TableSpec) -> tuple[int, int]:
+    """Two int keys a 2-shard cluster routes to different shards whose
+    one cell (depth 1, width 1) they update with the same sign."""
+    keys = list(range(64))
+    first, second = partition_keys(encode_keys(keys), 2)
+    a = keys[int(first[0])]
+    for index in second.tolist():
+        probe = spec.build()
+        sketch = getattr(probe, "sketch", probe)
+        sketch.update_batch([a, keys[index]])
+        if sketch.row_values_batch([a])[0, 0] == 2:
+            return a, keys[index]
+    raise AssertionError("no same-sign key on the second shard")
+
+
+class TestSumsPastInt64:
+    """Shard readouts add mod 2**64, as the merged sketch's counters do:
+    two records of ``BIG`` on two shards read exactly what one offline
+    sketch fed both reads, although their sum leaves int64."""
+
+    @staticmethod
+    def wide_spec(kind: str, name: str = "t") -> TableSpec:
+        return TableSpec(name, kind=kind, depth=1, width=1, seed=3, k=2)
+
+    def test_estimate_and_estimate_rows(self):
+        async def go():
+            spec = self.wide_spec("sketch")
+            a, b = same_sign_pair(spec)
+            servers, cluster = make_cluster(2, [spec])
+            for key in (a, b):
+                await cluster.ingest("t", [(key, BIG)], wait=True)
+            offline = spec.build()
+            offline.update_batch([a, b], [BIG, BIG])
+            rows = await cluster.estimate_rows("t", [a, b])
+            assert rows == offline.row_values_batch([a, b]).T.tolist()
+            assert rows == [[-(2**62)], [-(2**62)]]
+            assert await cluster.estimate("t", [a, b]) == \
+                offline.estimate_batch([a, b]).tolist()
+            await stop_all(servers)
+
+        run(go())
+
+    def test_maxchange(self):
+        async def go():
+            before = self.wide_spec("sketch", "before")
+            after = self.wide_spec("sketch", "after")
+            a, b = same_sign_pair(after)
+            servers, cluster = make_cluster(2, [before, after])
+            await cluster.ingest("before", [(a, 3)], wait=True)
+            for key in (a, b):
+                await cluster.ingest("after", [(key, BIG)], wait=True)
+            off_before, off_after = before.build(), after.build()
+            off_before.update_batch([a], [3])
+            off_after.update_batch([a, b], [BIG, BIG])
+            changes = (off_after - off_before).estimate_batch([a, b])
+            entries = await cluster.maxchange("before", "after", k=2,
+                                              items=[a, b])
+            assert {entry.item: (entry.estimated_change,
+                                 entry.estimate_before,
+                                 entry.estimate_after)
+                    for entry in entries} == {
+                key: (change, est_before, est_after)
+                for key, change, est_before, est_after in zip(
+                    [a, b], changes.tolist(),
+                    off_before.estimate_batch([a, b]).tolist(),
+                    off_after.estimate_batch([a, b]).tolist(),
+                    strict=True)}
+            await stop_all(servers)
+
+        run(go())
+
+    def test_topk_scores(self):
+        async def go():
+            spec = self.wide_spec("topk")
+            a, b = same_sign_pair(spec)
+            servers, cluster = make_cluster(2, [spec])
+            for key in (a, b):
+                await cluster.ingest("t", [(key, BIG)], wait=True)
+            sketch = spec.build().sketch
+            sketch.update_batch([a, b], [BIG, BIG])
+            top = await cluster.topk("t", 2)
+            assert {item for item, _ in top} == {a, b}
+            assert [score for _, score in top] == sketch.estimate_batch(
+                [item for item, _ in top]).tolist()
             await stop_all(servers)
 
         run(go())

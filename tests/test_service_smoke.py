@@ -10,6 +10,7 @@ tests.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_DATA, main
+from repro.core.countsketch import CountSketch
 from repro.core.vectorized import VectorizedCountSketch
 from repro.experiments.report import format_table
 from repro.streams.io import write_stream_text
@@ -185,3 +187,51 @@ class TestServiceSmoke:
         out, err = proc.communicate(timeout=30)
         assert proc.returncode == 0, err
         assert "graceful stop complete" in out
+
+    def test_bad_line_reports_the_acknowledged_prefix(self, live_server,
+                                                      tmp_path, capsys):
+        proc, port = live_server
+        ints = list(range(3000))
+        lines = [str(value) for value in ints]
+        lines[2499] = "oops"
+        stream_file = tmp_path / "ints.txt"
+        stream_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        assert query(port, "create", "--table",
+                     "ints:sketch:depth=4,width=64,seed=5") == 0
+        capsys.readouterr()
+        ingest = ["--table", "ints", "--input", str(stream_file),
+                  "--int-keys", "--batch-size", "1000"]
+        assert query(port, "ingest", *ingest) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (f"error: {stream_file}, line 2500: not an integer: "
+                       "'oops' (2000 records were acknowledged before it; "
+                       "resume with --skip 2000)\n")
+
+        def applied():
+            assert query(port, "stats", "--table", "ints") == 0
+            stats = json.loads(capsys.readouterr().out)
+            return stats["table"]["records_applied"]
+
+        assert applied() == 2000
+        lines[2499] = "2499"
+        stream_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert query(port, "ingest", *ingest, "--skip", "2000") == 0
+        assert "ingested 1000 records" in capsys.readouterr().out
+        assert applied() == len(ints)
+
+        offline = CountSketch(4, 64, seed=5)
+        offline.update_batch(ints)
+        probes = [0, 1999, 2000, 2499, 2999]
+        assert query(port, "estimate", "--table", "ints", "--int-keys",
+                     *map(str, probes)) == 0
+        expected = format_table(
+            ["item", "estimate"],
+            [[str(item), offline.estimate(item)] for item in probes],
+            title="live estimates from table 'ints'",
+        )
+        assert expected in capsys.readouterr().out
+
+        assert query(port, "shutdown") == 0
+        capsys.readouterr()
+        proc.communicate(timeout=30)
