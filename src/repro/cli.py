@@ -69,19 +69,22 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import asyncio
 import itertools
 import json
 import sys
-from collections.abc import Callable, Hashable, Sequence
-from typing import TYPE_CHECKING, NoReturn
+from collections.abc import Awaitable, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, NoReturn, TypeVar
 
 if TYPE_CHECKING:
-    from repro.cluster.coordinator import ClusterClient
-    from repro.service.client import ServiceClient
+    from repro.cluster.coordinator import ClusterCoordinator
+    from repro.core.relative_change import RelativeChangeFinder
+    from repro.service.client import AsyncServiceClient
     from repro.service.server import SketchServer
     from repro.service.tables import TableSpec
 
-    _QueryClient = ServiceClient | ClusterClient
+    _Client = AsyncServiceClient | ClusterCoordinator
+    _QueryHandler = Callable[[_Client, argparse.Namespace], Awaitable[int]]
 
 from repro.core.maxchange import MaxChangeFinder
 from repro.core.countsketch import CountSketch
@@ -155,6 +158,42 @@ def _add_metrics_arguments(parser: argparse.ArgumentParser) -> None:
         help="metrics file format (default: inferred from the --metrics-out "
              "extension, .prom/.txt = prometheus, else json)",
     )
+
+
+def _add_served_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags ``serve`` and ``cluster serve`` share; a fleet hands them
+    to every shard's ``repro serve``."""
+    parser.add_argument("--host", default="127.0.0.1",
+                        help="bind address (default 127.0.0.1)")
+    parser.add_argument(
+        "--table", action="append", default=[],
+        metavar="NAME[:KIND[:key=val,...]]",
+        help="table to serve (repeatable); KIND is sketch, vectorized, "
+             "topk, or window (a fleet cannot shard window tables); "
+             "options: depth, width, seed, k, window, buckets — e.g. "
+             "queries:topk:k=20,depth=6,width=1024",
+    )
+    parser.add_argument("--queue-capacity", type=int, default=256,
+                        help="pending ingest batches per table before "
+                             "producers get an explicit `overloaded` "
+                             "response (default 256)")
+    parser.add_argument("--max-batch", type=int, default=64,
+                        help="ingest batches coalesced per apply call "
+                             "(default 64)")
+    parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
+                        help="persist every table under DIR and resume "
+                             "bit-for-bit on restart (a fleet keeps shard "
+                             "i under DIR/shard-00i and pins its shape in "
+                             "a manifest)")
+    parser.add_argument("--checkpoint-every", metavar="N", type=int,
+                        default=None,
+                        help="with --checkpoint-dir: snapshot a table "
+                             "after N applied records")
+    parser.add_argument("--checkpoint-every-seconds", metavar="T",
+                        type=float, default=None,
+                        help="with --checkpoint-dir: snapshot a table "
+                             "after T seconds (default 30 when no trigger "
+                             "is given)")
 
 
 def _run_with_metrics(
@@ -241,35 +280,64 @@ def _parse_int_items(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _check_state_flags(args: argparse.Namespace) -> str | None:
-    """Validate the persistence flag combinations; returns an error or None."""
-    if args.checkpoint_every is not None and args.save_state is None:
-        return "--checkpoint-every requires --save-state (the checkpoint path)"
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        return "--checkpoint-every must be at least 1"
+def _check_flag_values(args: argparse.Namespace) -> str | None:
+    """Find a flag value that argparse's types let through but no command
+    can use, before any file is read or server reached; returns a usage
+    error or None."""
+    if not 0 <= getattr(args, "port", 0) <= 65535:
+        return "--port must be between 0 and 65535"
+    if getattr(args, "timeout", 1) <= 0:
+        return "--timeout must be positive"
+    if getattr(args, "shards", 1) < 1:
+        return "--shards must be at least 1"
+    # maxchange, percent-change and store diff report nothing at --k 0.
+    k = getattr(args, "k", None)
+    if args.command in ("topk", "query") and k is not None and k < 1:
+        return "--k must be at least 1"
     return None
 
 
-def _restore_items_consumed(meta: dict[str, object], path: str) -> int:
-    consumed = meta.get("items_consumed", 0)
-    if not isinstance(consumed, int) or consumed < 0:
-        raise StoreError(
-            f"{path} does not record a valid items_consumed count; it was "
-            "not written by --save-state"
-        )
-    return consumed
+_Summary = TypeVar("_Summary", TopKTracker, CountSketch)
 
 
-def _ingest_with_state(
-    summary: TopKTracker | CountSketch,
+def _summarize_input(
     args: argparse.Namespace,
-    stream: TextStreamReader,
-    consumed: int,
-) -> None:
-    """Feed the unconsumed stream tail into ``summary`` in
-    ``update_batch`` steps of :data:`~repro.streams.io.DEFAULT_CHUNK_SIZE`
-    records, honoring ``--save-state`` / ``--checkpoint-every``."""
-    source = itertools.islice(stream, consumed, None)
+    kind: type[_Summary],
+    fresh: Callable[[], _Summary],
+) -> _Summary | int:
+    """The ``topk`` / ``estimate`` summary of ``--input``, or the exit code
+    of a usage or data error.
+
+    The summary is ``fresh()``, or the ``kind`` snapshot ``--resume``
+    names, which skips the stream prefix it already consumed.  The rest of
+    the stream is applied in ``update_batch`` steps of
+    :data:`~repro.streams.io.DEFAULT_CHUNK_SIZE` records, honoring
+    ``--save-state`` / ``--checkpoint-every``.
+    """
+    if args.checkpoint_every is not None and args.save_state is None:
+        return _usage_fail(
+            "--checkpoint-every requires --save-state (the checkpoint path)")
+    if args.checkpoint_every is not None and args.checkpoint_every < 1:
+        return _usage_fail("--checkpoint-every must be at least 1")
+    consumed = 0
+    if args.resume:
+        loaded, meta = load_with_meta(args.resume)
+        if not isinstance(loaded, kind):
+            return _fail(
+                f"{args.resume} holds a {type(loaded).__name__}, not the "
+                f"{kind.__name__} snapshot {args.command} --resume needs"
+            )
+        summary = loaded
+        consumed = meta.get("items_consumed", 0)
+        if not isinstance(consumed, int) or consumed < 0:
+            raise StoreError(
+                f"{args.resume} does not record a valid items_consumed "
+                "count; it was not written by --save-state"
+            )
+    else:
+        summary = fresh()
+    source = itertools.islice(_load(args.input, args.int_keys), consumed,
+                              None)
     if args.save_state and args.checkpoint_every is not None:
         manager = CheckpointManager(
             summary, args.save_state,
@@ -280,7 +348,7 @@ def _ingest_with_state(
             f"state: {manager.checkpoints_written} snapshot(s) -> "
             f"{args.save_state}"
         )
-        return
+        return summary
     for chunk in iter_chunks(source):
         summary.update_batch(chunk)
         consumed += len(chunk)
@@ -289,30 +357,14 @@ def _ingest_with_state(
             summary, args.save_state, meta={"items_consumed": consumed}
         )
         print(f"state: snapshot -> {args.save_state}")
+    return summary
 
 
 def _cmd_topk(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        return _usage_fail("--k must be at least 1")
-    problem = _check_state_flags(args)
-    if problem is not None:
-        return _usage_fail(problem)
-    consumed = 0
-    if args.resume:
-        loaded, meta = load_with_meta(args.resume)
-        if not isinstance(loaded, TopKTracker):
-            return _fail(
-                f"{args.resume} holds a "
-                f"{type(loaded).__name__}, not the TopKTracker "
-                "snapshot topk --resume needs"
-            )
-        tracker = loaded
-        consumed = _restore_items_consumed(meta, args.resume)
-    else:
-        tracker = TopKTracker(args.k, depth=args.depth,
-                              width=args.width, seed=args.seed)
-    _ingest_with_state(tracker, args, _load(args.input, args.int_keys),
-                       consumed)
+    tracker = _summarize_input(args, TopKTracker, lambda: TopKTracker(
+        args.k, depth=args.depth, width=args.width, seed=args.seed))
+    if isinstance(tracker, int):
+        return tracker
     rows = [
         [rank, str(item), count]
         for rank, (item, count) in enumerate(tracker.top(), start=1)
@@ -344,36 +396,32 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if args.input is None:
         return _usage_fail("provide --input (a stream file) or --sketch (a "
                            "saved snapshot)")
-    problem = _check_state_flags(args)
-    if problem is not None:
-        return _usage_fail(problem)
-    consumed = 0
-    if args.resume:
-        loaded, meta = load_with_meta(args.resume)
-        if not isinstance(loaded, CountSketch):
-            return _fail(
-                f"{args.resume} holds a {type(loaded).__name__}, not "
-                "the CountSketch snapshot estimate --resume needs"
-            )
-        sketch = loaded
-        consumed = _restore_items_consumed(meta, args.resume)
-    else:
-        sketch = CountSketch(args.depth, args.width, seed=args.seed)
-    _ingest_with_state(sketch, args, _load(args.input, args.int_keys),
-                       consumed)
+    sketch = _summarize_input(args, CountSketch, lambda: CountSketch(
+        args.depth, args.width, seed=args.seed))
+    if isinstance(sketch, int):
+        return sketch
     rows = [[str(q), sketch.estimate(q)] for q in queries]
     print(format_table(["item", "estimate"], rows,
                        title=f"estimates over {args.input}"))
     return 0
 
 
-def _cmd_maxchange(args: argparse.Namespace) -> int:
+def _two_passes(
+    args: argparse.Namespace,
+    finder: MaxChangeFinder | RelativeChangeFinder,
+) -> None:
+    """Run ``maxchange`` / ``percent-change``'s two passes over
+    ``--before`` and ``--after``; each pass re-reads both files lazily."""
     before = _load(args.before, args.int_keys)
     after = _load(args.after, args.int_keys)
-    finder = MaxChangeFinder(args.l, depth=args.depth, width=args.width,
-                             seed=args.seed)
     finder.first_pass(before, after)
     finder.second_pass(before, after)
+
+
+def _cmd_maxchange(args: argparse.Namespace) -> int:
+    finder = MaxChangeFinder(args.l, depth=args.depth, width=args.width,
+                             seed=args.seed)
+    _two_passes(args, finder)
     rows = [
         [str(r.item), r.count_before, r.count_after, r.change,
          r.estimated_change]
@@ -389,14 +437,11 @@ def _cmd_maxchange(args: argparse.Namespace) -> int:
 def _cmd_percent_change(args: argparse.Namespace) -> int:
     from repro.core.relative_change import RelativeChangeFinder
 
-    before = _load(args.before, args.int_keys)
-    after = _load(args.after, args.int_keys)
     finder = RelativeChangeFinder(
         args.l, floor=args.floor, depth=args.depth, width=args.width,
         seed=args.seed,
     )
-    finder.first_pass(before, after)
-    finder.second_pass(before, after)
+    _two_passes(args, finder)
     rows = [
         [str(r.item), r.count_before, r.count_after,
          f"{r.percent_change:+.1%}"]
@@ -583,10 +628,27 @@ def _parse_weight_flag(value: str) -> tuple[str, int]:
         ) from None
 
 
+def _served_tables(args: argparse.Namespace) -> list[TableSpec]:
+    """The ``--table`` specs of ``serve`` / ``cluster serve``, after the
+    flag checks the two share; raises ``ValueError`` naming the flag."""
+    specs = [_parse_table_flag(value) for value in args.table]
+    if not specs:
+        raise ValueError(
+            "provide at least one --table NAME[:KIND[:key=val,...]]")
+    if (
+        args.checkpoint_every is not None or
+        args.checkpoint_every_seconds is not None
+    ) and args.checkpoint_dir is None:
+        raise ValueError(
+            "--checkpoint-every/--checkpoint-every-seconds require "
+            "--checkpoint-dir (where should the snapshots go?)"
+        )
+    return specs
+
+
 async def _serve_until_stopped(
     server: SketchServer, host: str, port: int
 ) -> None:
-    import asyncio
     import signal
 
     bound_host, bound_port = await server.start(host, port)
@@ -609,44 +671,25 @@ async def _serve_until_stopped(
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.observability import get_registry, metrics_enabled
     from repro.service.server import SketchServer
 
     try:
-        specs = [_parse_table_flag(value) for value in args.table]
-    except ValueError as error:
-        return _usage_fail(str(error))
-    if not specs:
-        return _usage_fail(
-            "provide at least one --table NAME[:KIND[:key=val,...]]")
-    if (
-        args.checkpoint_every is not None or
-        args.checkpoint_every_seconds is not None
-    ) and args.checkpoint_dir is None:
-        return _usage_fail(
-            "--checkpoint-every/--checkpoint-every-seconds require "
-            "--checkpoint-dir (where should the snapshots go?)"
-        )
-    try:
+        specs = _served_tables(args)
         weights = tuple(
             _parse_weight_flag(value) for value in args.table_weight)
-    except ValueError as error:
-        return _usage_fail(str(error))
-    limits = None
-    if (
-        args.max_connections is not None
-        or args.ingest_rate is not None
-        or args.ingest_burst is not None
-        or args.query_rate is not None
-        or args.query_burst is not None
-        or args.fair_quantum is not None
-        or weights
-    ):
-        from repro.service.limits import ServiceLimits
+        limits = None
+        if (
+            args.max_connections is not None
+            or args.ingest_rate is not None
+            or args.ingest_burst is not None
+            or args.query_rate is not None
+            or args.query_burst is not None
+            or args.fair_quantum is not None
+            or weights
+        ):
+            from repro.service.limits import ServiceLimits
 
-        try:
             limits = ServiceLimits(
                 max_connections=args.max_connections,
                 ingest_rate=args.ingest_rate,
@@ -656,10 +699,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 fair_quantum=args.fair_quantum,
                 weights=weights,
             )
-        except ValueError as error:
-            return _usage_fail(str(error))
-    registry = get_registry() if metrics_enabled() else None
-    try:
         server = SketchServer(
             specs,
             queue_capacity=args.queue_capacity,
@@ -667,7 +706,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every_items=args.checkpoint_every,
             checkpoint_every_seconds=args.checkpoint_every_seconds,
-            registry=registry,
+            registry=get_registry() if metrics_enabled() else None,
             limits=limits,
         )
     except ValueError as error:
@@ -676,11 +715,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_traffic(args: argparse.Namespace) -> int:
-    import asyncio
+def _connect(args: argparse.Namespace) -> Callable[[], Awaitable[_Client]]:
+    """How ``query`` and ``traffic`` reach their target: a callable that
+    opens a connection per call, to the fleet the ``--cluster`` spec
+    lists (read once, here) or to the server at ``--host``/``--port``."""
+    if args.cluster:
+        from repro.cluster import ClusterCoordinator, read_cluster_spec
 
-    from repro.service.client import AsyncServiceClient, ServiceError
-    from repro.traffic import TrafficReport, TrafficRunner, WorkloadSpec
+        endpoints = read_cluster_spec(args.cluster).endpoints
+        return lambda: ClusterCoordinator.connect(endpoints)
+    from repro.service.client import AsyncServiceClient
+
+    return lambda: AsyncServiceClient.connect(args.host, args.port)
+
+
+def _cmd_traffic(args: argparse.Namespace) -> int:
+    from repro.service.client import ServiceError
+    from repro.traffic import TrafficRunner, WorkloadSpec
 
     try:
         spec = WorkloadSpec(
@@ -706,30 +757,17 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
                                max_inflight=args.max_inflight)
     except ValueError as error:
         return _usage_fail(str(error))
-
     if args.cluster:
-        from repro.cluster.coordinator import ClusterCoordinator
-        from repro.cluster.fleet import read_cluster_spec
+        from repro.cluster import unshardable_reason
 
-        try:
-            fleet = read_cluster_spec(args.cluster)
-        except (OSError, ValueError) as error:
-            return _fail(str(error))
-
-        def connect() -> object:
-            return ClusterCoordinator.connect(fleet.endpoints)
-    else:
-
-        def connect() -> object:
-            return AsyncServiceClient.connect(args.host, args.port)
-
-    async def drive() -> TrafficReport:
-        return await runner.run(connect, setup=not args.no_setup,
-                                probe=not args.no_probe,
-                                verify=not args.no_verify)
-
+        problem = unshardable_reason(args.table_kind)
+        if problem is not None:
+            return _usage_fail(f"--table-kind {args.table_kind}: {problem}")
+    connect = _connect(args)
     try:
-        report = asyncio.run(drive())
+        report = asyncio.run(runner.run(connect, setup=not args.no_setup,
+                                        probe=not args.no_probe,
+                                        verify=not args.no_verify))
     except (ServiceError, OSError) as error:
         return _fail(str(error))
 
@@ -774,71 +812,54 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _connect_client(args: argparse.Namespace) -> _QueryClient:
-    if getattr(args, "cluster", None):
-        from repro.cluster.coordinator import ClusterClient
-        from repro.cluster.fleet import read_cluster_spec
-
-        spec = read_cluster_spec(args.cluster)
-        return ClusterClient(spec.endpoints, timeout=args.timeout)
-    from repro.service.client import ServiceClient
-
-    return ServiceClient(args.host, args.port, timeout=args.timeout)
-
-
-def _query_target(args: argparse.Namespace) -> str:
-    cluster = getattr(args, "cluster", None)
-    if cluster:
-        return f"cluster {cluster}"
-    return f"{args.host}:{args.port}"
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
-    import concurrent.futures
-
+    """Run one ``repro query`` verb: connect, then the verb's requests,
+    the connect and each request bounded by ``--timeout``."""
     from repro.service.client import ServiceError
 
+    connect = _connect(args)
+
+    async def session() -> int:
+        client = await asyncio.wait_for(connect(), args.timeout)
+        try:
+            return int(await args.query_handler(client, args))
+        finally:
+            await client.close()
+
     try:
-        client = _connect_client(args)
-    except (ServiceError, OSError) as error:
-        # Connection refusals surface as one documented line, never a
-        # raw ConnectionRefusedError traceback.
-        return _fail(str(error))
-    try:
-        return int(args.query_handler(client, args))
+        return asyncio.run(session())
     except ServiceError as error:
         return _fail(str(error))
-    except (TimeoutError, concurrent.futures.TimeoutError):
-        return _fail(
-            f"request to {_query_target(args)} timed out after "
-            f"{args.timeout:.1f}s"
-        )
-    finally:
-        client.close()
+    # asyncio.TimeoutError is a class of its own on Python 3.10; from 3.11
+    # it is the builtin TimeoutError, an OSError, whose empty message main
+    # would print.  Both are caught here.
+    except (TimeoutError, asyncio.TimeoutError):
+        target = (f"cluster {args.cluster}" if args.cluster
+                  else f"{args.host}:{args.port}")
+        return _fail(f"request to {target} timed out after "
+                     f"{args.timeout:.1f}s")
 
 
-def _query_ping(client: _QueryClient, args: argparse.Namespace) -> int:
-    info = client.ping()
+async def _query_ping(client: _Client, args: argparse.Namespace) -> int:
+    info = await asyncio.wait_for(client.ping(), args.timeout)
     print(json.dumps(info, indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _query_create(client: _QueryClient, args: argparse.Namespace) -> int:
+async def _query_create(client: _Client, args: argparse.Namespace) -> int:
     try:
         spec = _parse_table_flag(args.table)
+        created = await asyncio.wait_for(client.create_table(spec),
+                                         args.timeout)
     except ValueError as error:
-        return _usage_fail(str(error))
-    try:
-        created = client.create_table(spec)
-    except ValueError as error:
-        # e.g. a window table aimed at a cluster: not shardable.
+        # A malformed --table, or a window table aimed at a cluster.
         return _usage_fail(str(error))
     verb = "created" if created else "already exists (same spec)"
     print(f"table {spec.name!r}: {verb}")
     return EXIT_OK
 
 
-def _query_ingest(client: _QueryClient, args: argparse.Namespace) -> int:
+async def _query_ingest(client: _Client, args: argparse.Namespace) -> int:
     if args.batch_size < 1:
         return _usage_fail("--batch-size must be at least 1")
     if args.skip < 0:
@@ -850,7 +871,9 @@ def _query_ingest(client: _QueryClient, args: argparse.Namespace) -> int:
     # control, so a well-behaved producer never sees `overloaded`.
     try:
         for batch in iter_chunks(source, args.batch_size):
-            client.ingest_items(args.table, batch, wait=True)
+            await asyncio.wait_for(
+                client.ingest_items(args.table, batch, wait=True),
+                args.timeout)
             total += len(batch)
     except StreamFormatError as error:
         # The batches before the bad line are applied: say how many, and
@@ -862,9 +885,10 @@ def _query_ingest(client: _QueryClient, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _query_estimate(client: _QueryClient, args: argparse.Namespace) -> int:
+async def _query_estimate(client: _Client, args: argparse.Namespace) -> int:
     queries = args.items
-    estimates = client.estimate(args.table, queries)
+    estimates = await asyncio.wait_for(client.estimate(args.table, queries),
+                                       args.timeout)
     rows = [[str(item), value]
             for item, value in zip(queries, estimates, strict=True)]
     print(format_table(["item", "estimate"], rows,
@@ -872,8 +896,9 @@ def _query_estimate(client: _QueryClient, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _query_topk(client: _QueryClient, args: argparse.Namespace) -> int:
-    top = client.topk(args.table, args.k)
+async def _query_topk(client: _Client, args: argparse.Namespace) -> int:
+    top = await asyncio.wait_for(client.topk(args.table, args.k),
+                                 args.timeout)
     rows = [
         [rank, str(item), count]
         for rank, (item, count) in enumerate(top, start=1)
@@ -883,16 +908,17 @@ def _query_topk(client: _QueryClient, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _query_stats(client: _QueryClient, args: argparse.Namespace) -> int:
-    stats = client.stats(args.table)
+async def _query_stats(client: _Client, args: argparse.Namespace) -> int:
+    stats = await asyncio.wait_for(client.stats(args.table), args.timeout)
     stats.pop("ok", None)
     stats.pop("id", None)
     print(json.dumps(stats, indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _query_metrics(client: _QueryClient, args: argparse.Namespace) -> int:
-    scraped = client.metrics(args.format)
+async def _query_metrics(client: _Client, args: argparse.Namespace) -> int:
+    scraped: str | list[str] = await asyncio.wait_for(
+        client.metrics(args.format), args.timeout)
     if isinstance(scraped, list):
         # Cluster scrape: one body per shard, labelled so a reader (or a
         # Prometheus file collector) can tell the shards apart.
@@ -913,53 +939,93 @@ def _query_metrics(client: _QueryClient, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _query_checkpoint(client: _QueryClient, args: argparse.Namespace) -> int:
-    written = client.checkpoint(args.table)
+async def _query_checkpoint(client: _Client,
+                            args: argparse.Namespace) -> int:
+    written = await asyncio.wait_for(client.checkpoint(args.table),
+                                     args.timeout)
     print(f"checkpoint: {written} bytes written")
     return EXIT_OK
 
 
-def _query_shutdown(client: _QueryClient, args: argparse.Namespace) -> int:
-    client.shutdown()
+async def _query_shutdown(client: _Client, args: argparse.Namespace) -> int:
+    await asyncio.wait_for(client.shutdown(), args.timeout)
     print("server is stopping")
     return EXIT_OK
+
+
+#: The ``repro query`` verbs: name, help, handler, and the verb's own
+#: arguments as ``(flag, add_argument keywords)``.  Every verb also takes
+#: the target flags (``--host``/``--port``/``--cluster``) and
+#: ``--timeout``.
+_QUERY_VERBS: tuple[
+    tuple[str, str, _QueryHandler, tuple[tuple[str, dict[str, Any]], ...]],
+    ...,
+] = (
+    ("ping", "server liveness and protocol version", _query_ping, ()),
+    ("create", "create a table on the running server", _query_create, (
+        ("--table", {"required": True, "metavar": "NAME[:KIND[:key=val,...]]",
+                     "help": "table spec (same syntax as serve --table)"}),
+    )),
+    ("ingest", "stream a file into a live table (batched, flow-controlled)",
+     _query_ingest, (
+         ("--table", {"required": True}),
+         ("--input", {"required": True,
+                      "help": "stream file, one item per line"}),
+         ("--int-keys", {"action": "store_true",
+                         "help": "parse stream lines as integers"}),
+         ("--batch-size", {"type": int, "default": 1000,
+                           "help": "records per ingest request "
+                                   "(default 1000)"}),
+         ("--skip", {"type": int, "default": 0, "metavar": "N",
+                     "help": "skip the first N records (resume a producer: "
+                             "use records_applied from `repro query stats`)"}),
+     )),
+    ("estimate", "frequency estimates from a live table", _query_estimate, (
+        ("--table", {"required": True}),
+        ("items", {"nargs": "+", "help": "items to estimate"}),
+        ("--int-keys", {"action": "store_true",
+                        "help": "parse items as integers"}),
+    )),
+    ("topk", "current top-k of a live topk table", _query_topk, (
+        ("--table", {"required": True}),
+        ("--k", {"type": int,
+                 "help": "items to report (default: the table's k)"}),
+    )),
+    ("stats", "per-table (or server-wide) counters and queue state",
+     _query_stats, (("--table", {}),)),
+    ("metrics", "scrape the server's metrics export", _query_metrics, (
+        ("--format", {"choices": ("prometheus", "json"),
+                      "default": "prometheus"}),
+        ("--out", {"metavar": "PATH",
+                   "help": "write to PATH instead of stdout"}),
+    )),
+    ("checkpoint", "force a durability snapshot now", _query_checkpoint,
+     (("--table", {}),)),
+    ("shutdown", "stop the server gracefully (drain, snapshot, exit)",
+     _query_shutdown, ()),
+)
 
 
 def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.cluster.fleet import (
+    from repro.cluster import (
         fleet_status,
         launch_fleet,
         stop_fleet,
+        unshardable_reason,
         write_cluster_spec,
     )
 
     try:
-        specs = [_parse_table_flag(value) for value in args.table]
+        specs = _served_tables(args)
     except ValueError as error:
         return _usage_fail(str(error))
-    if not specs:
-        return _usage_fail(
-            "provide at least one --table NAME[:KIND[:key=val,...]]")
     for spec in specs:
-        if spec.kind == "window":
-            return _usage_fail(
-                f"--table {spec.name}: window tables cannot be sharded "
-                "(jumping-window rotation counts local arrivals); serve "
-                "them from a single `repro serve` process"
-            )
-    if args.shards < 1:
-        return _usage_fail("--shards must be at least 1")
-    if (
-        args.checkpoint_every is not None or
-        args.checkpoint_every_seconds is not None
-    ) and args.checkpoint_dir is None:
-        return _usage_fail(
-            "--checkpoint-every/--checkpoint-every-seconds require "
-            "--checkpoint-dir (where should the snapshots go?)"
-        )
+        problem = unshardable_reason(spec.kind)
+        if problem is not None:
+            return _usage_fail(f"--table {spec.name}: {problem}")
     serve_args = ["--queue-capacity", str(args.queue_capacity),
                   "--max-batch", str(args.max_batch)]
     if args.checkpoint_every is not None:
@@ -1018,8 +1084,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
 def _cmd_cluster_rebalance(args: argparse.Namespace) -> int:
     from repro.cluster.fleet import rebalance_cluster
 
-    if args.shards < 1:
-        return _usage_fail("--shards must be at least 1")
     merged = rebalance_cluster(args.src, args.out, args.shards)
     for name in sorted(merged):
         print(
@@ -1280,37 +1344,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the online sketch server (repro.service): live tables "
              "ingesting over TCP while answering estimate/top-k queries",
     )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1)")
+    _add_served_arguments(serve)
     serve.add_argument("--port", type=int, default=9431,
                        help="bind port; 0 picks a free port and prints it "
                             "(default 9431)")
-    serve.add_argument(
-        "--table", action="append", default=[],
-        metavar="NAME[:KIND[:key=val,...]]",
-        help="table to serve (repeatable); KIND is sketch, vectorized, "
-             "topk, or window; options: depth, width, seed, k, window, "
-             "buckets — e.g. queries:topk:k=20,depth=6,width=1024",
-    )
-    serve.add_argument("--queue-capacity", type=int, default=256,
-                       help="pending ingest batches per table before "
-                            "producers get an explicit `overloaded` "
-                            "response (default 256)")
-    serve.add_argument("--max-batch", type=int, default=64,
-                       help="ingest batches coalesced per apply call "
-                            "(default 64)")
-    serve.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                       help="persist every table under DIR and resume "
-                            "bit-for-bit on restart")
-    serve.add_argument("--checkpoint-every", metavar="N", type=int,
-                       default=None,
-                       help="with --checkpoint-dir: snapshot a table "
-                            "after N applied records")
-    serve.add_argument("--checkpoint-every-seconds", metavar="T",
-                       type=float, default=None,
-                       help="with --checkpoint-dir: snapshot a table "
-                            "after T seconds (default 30 when no trigger "
-                            "is given)")
     serve.add_argument("--max-connections", type=int, default=None,
                        metavar="N",
                        help="open-connection cap; excess connections get "
@@ -1346,108 +1383,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metrics_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)
 
+    # Where `query` and `traffic` connect.
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--host", default="127.0.0.1",
+                        help="server address (default 127.0.0.1)")
+    target.add_argument("--port", type=int, default=9431,
+                        help="server port (default 9431)")
+    target.add_argument("--cluster", metavar="SPEC", default=None,
+                        help="aim at a sharded fleet instead of one "
+                             "server: path to the cluster spec JSON "
+                             "written by `repro cluster serve` "
+                             "(overrides --host/--port)")
+
     query = subparsers.add_parser(
         "query", help="talk to a running `repro serve` instance"
     )
     query_sub = query.add_subparsers(dest="query_command", required=True)
-    connection = argparse.ArgumentParser(add_help=False)
-    connection.add_argument("--host", default="127.0.0.1",
-                            help="server address (default 127.0.0.1)")
-    connection.add_argument("--port", type=int, default=9431,
-                            help="server port (default 9431)")
-    connection.add_argument("--timeout", type=float, default=30.0,
-                            help="per-request timeout in seconds "
-                                 "(default 30)")
-    connection.add_argument("--cluster", metavar="SPEC", default=None,
-                            help="query a sharded fleet instead of one "
-                                 "server: path to the cluster spec JSON "
-                                 "written by `repro cluster serve` "
-                                 "(overrides --host/--port)")
-
-    query_ping = query_sub.add_parser(
-        "ping", parents=[connection],
-        help="server liveness and protocol version")
-    query_ping.set_defaults(handler=_cmd_query, query_handler=_query_ping)
-
-    query_create = query_sub.add_parser(
-        "create", parents=[connection],
-        help="create a table on the running server")
-    query_create.add_argument("--table", required=True,
-                              metavar="NAME[:KIND[:key=val,...]]",
-                              help="table spec (same syntax as serve "
-                                   "--table)")
-    query_create.set_defaults(handler=_cmd_query,
-                              query_handler=_query_create)
-
-    query_ingest = query_sub.add_parser(
-        "ingest", parents=[connection],
-        help="stream a file into a live table (batched, flow-controlled)")
-    query_ingest.add_argument("--table", required=True)
-    query_ingest.add_argument("--input", required=True,
-                              help="stream file, one item per line")
-    query_ingest.add_argument("--int-keys", action="store_true",
-                              help="parse stream lines as integers")
-    query_ingest.add_argument("--batch-size", type=int, default=1000,
-                              help="records per ingest request "
-                                   "(default 1000)")
-    query_ingest.add_argument("--skip", type=int, default=0,
-                              metavar="N",
-                              help="skip the first N records (resume a "
-                                   "producer: use records_applied from "
-                                   "`repro query stats`)")
-    query_ingest.set_defaults(handler=_cmd_query,
-                              query_handler=_query_ingest)
-
-    query_estimate = query_sub.add_parser(
-        "estimate", parents=[connection],
-        help="frequency estimates from a live table")
-    query_estimate.add_argument("--table", required=True)
-    query_estimate.add_argument("items", nargs="+",
-                                help="items to estimate")
-    query_estimate.add_argument("--int-keys", action="store_true",
-                                help="parse items as integers")
-    query_estimate.set_defaults(handler=_cmd_query,
-                                query_handler=_query_estimate)
-
-    query_topk = query_sub.add_parser(
-        "topk", parents=[connection],
-        help="current top-k of a live topk table")
-    query_topk.add_argument("--table", required=True)
-    query_topk.add_argument("--k", type=int, default=None,
-                            help="items to report (default: the table's "
-                                 "k)")
-    query_topk.set_defaults(handler=_cmd_query, query_handler=_query_topk)
-
-    query_stats = query_sub.add_parser(
-        "stats", parents=[connection],
-        help="per-table (or server-wide) counters and queue state")
-    query_stats.add_argument("--table", default=None)
-    query_stats.set_defaults(handler=_cmd_query,
-                             query_handler=_query_stats)
-
-    query_metrics = query_sub.add_parser(
-        "metrics", parents=[connection],
-        help="scrape the server's metrics export")
-    query_metrics.add_argument("--format",
-                               choices=("prometheus", "json"),
-                               default="prometheus")
-    query_metrics.add_argument("--out", metavar="PATH", default=None,
-                               help="write to PATH instead of stdout")
-    query_metrics.set_defaults(handler=_cmd_query,
-                               query_handler=_query_metrics)
-
-    query_checkpoint = query_sub.add_parser(
-        "checkpoint", parents=[connection],
-        help="force a durability snapshot now")
-    query_checkpoint.add_argument("--table", default=None)
-    query_checkpoint.set_defaults(handler=_cmd_query,
-                                  query_handler=_query_checkpoint)
-
-    query_shutdown = query_sub.add_parser(
-        "shutdown", parents=[connection],
-        help="stop the server gracefully (drain, snapshot, exit)")
-    query_shutdown.set_defaults(handler=_cmd_query,
-                                query_handler=_query_shutdown)
+    for verb, verb_help, query_handler, arguments in _QUERY_VERBS:
+        verb_parser = query_sub.add_parser(verb, parents=[target],
+                                           help=verb_help)
+        verb_parser.add_argument("--timeout", type=float, default=30.0,
+                                 help="timeout in seconds for the connect "
+                                      "and for each request (default 30)")
+        for flag, options in arguments:
+            verb_parser.add_argument(flag, **options)
+        verb_parser.set_defaults(handler=_cmd_query,
+                                 query_handler=query_handler)
 
     cluster = subparsers.add_parser(
         "cluster",
@@ -1465,40 +1426,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster_serve.add_argument("--shards", type=int, default=2,
                                help="fleet size (default 2)")
-    cluster_serve.add_argument("--host", default="127.0.0.1",
-                               help="bind address for every shard "
-                                    "(default 127.0.0.1)")
-    cluster_serve.add_argument(
-        "--table", action="append", default=[],
-        metavar="NAME[:KIND[:key=val,...]]",
-        help="table every shard serves (repeatable; same syntax as "
-             "serve --table; window tables cannot be sharded)",
-    )
+    _add_served_arguments(cluster_serve)
     cluster_serve.add_argument(
         "--spec-out", metavar="PATH", default="cluster.json",
         help="where to write the cluster spec JSON that `repro query "
              "--cluster` reads (default ./cluster.json)",
     )
-    cluster_serve.add_argument(
-        "--checkpoint-dir", metavar="ROOT", default=None,
-        help="persist the fleet under ROOT (manifest pins the shard "
-             "count and table specs; shard i resumes from "
-             "ROOT/shard-00i)",
-    )
-    cluster_serve.add_argument("--checkpoint-every", metavar="N",
-                               type=int, default=None,
-                               help="with --checkpoint-dir: snapshot a "
-                                    "table after N applied records")
-    cluster_serve.add_argument("--checkpoint-every-seconds", metavar="T",
-                               type=float, default=None,
-                               help="with --checkpoint-dir: snapshot a "
-                                    "table after T seconds")
-    cluster_serve.add_argument("--queue-capacity", type=int, default=256,
-                               help="per-shard pending ingest batches "
-                                    "(default 256)")
-    cluster_serve.add_argument("--max-batch", type=int, default=64,
-                               help="per-shard ingest coalescing limit "
-                                    "(default 64)")
     cluster_serve.set_defaults(handler=_cmd_cluster_serve)
 
     cluster_rebalance = cluster_sub.add_parser(
@@ -1517,19 +1450,11 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_rebalance.set_defaults(handler=_cmd_cluster_rebalance)
 
     traffic = subparsers.add_parser(
-        "traffic",
+        "traffic", parents=[target],
         help="drive a seeded multi-tenant workload against a live "
              "server or cluster (repro.traffic) and report saturation "
              "throughput, tail latency, shed counts, and fairness",
     )
-    traffic.add_argument("--host", default="127.0.0.1",
-                         help="server address (default 127.0.0.1)")
-    traffic.add_argument("--port", type=int, default=9431,
-                         help="server port (default 9431)")
-    traffic.add_argument("--cluster", metavar="SPEC", default=None,
-                         help="drive a sharded fleet instead of one "
-                              "server: path to the cluster spec JSON "
-                              "(overrides --host/--port)")
     traffic.add_argument("--clients", type=int, default=4,
                          help="concurrent client connections (default 4)")
     traffic.add_argument("--duration", type=float, default=5.0,
@@ -1693,7 +1618,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    problem = _parse_int_items(args)
+    problem = _parse_int_items(args) or _check_flag_values(args)
     if problem is not None:
         return _usage_fail(problem)
     try:

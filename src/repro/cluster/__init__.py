@@ -8,11 +8,12 @@ that identity into a cluster tier over :mod:`repro.service`:
 * :mod:`~repro.cluster.routing` — jump consistent hashing over the same
   pre-encoded u64 key images the sketches hash (one ``encode_key`` pass
   covers routing and sketching).
-* :mod:`~repro.cluster.coordinator` — :class:`ClusterCoordinator` /
-  :class:`ClusterClient`: scatter-gather ``estimate`` / ``topk`` /
-  ``maxchange`` whose answers are bit-equal to one offline sketch fed
-  the same records (per-row integer readouts sum across shards; the
-  median is applied once, by the summary kind's own arithmetic).
+* :mod:`~repro.cluster.coordinator` — :class:`ClusterCoordinator`, an
+  async API: scatter-gather ``estimate`` / ``topk`` / ``maxchange``
+  whose answers are bit-equal to one offline sketch fed the same
+  records (per-row integer readouts sum across shards; the median is
+  applied once, by the summary kind's own arithmetic).  A script runs
+  it under ``asyncio.run``, as ``repro query --cluster`` does.
 * :mod:`~repro.cluster.fleet` — cluster spec files, the ``repro
   cluster serve`` process supervisor, manifest pinning that refuses a
   silent shard-count change, and offline snapshot-re-merge rebalancing
@@ -23,7 +24,7 @@ CLI: ``repro cluster serve`` / ``repro cluster rebalance``, and
 See ``docs/cluster.md`` for topology, routing, and failure semantics.
 """
 
-from repro.cluster.coordinator import ClusterClient, ClusterCoordinator
+from repro.cluster.coordinator import ClusterCoordinator, unshardable_reason
 from repro.cluster.fleet import (
     MERGEABLE_KINDS,
     ClusterSpecFile,
@@ -48,7 +49,6 @@ from repro.cluster.routing import (
 __all__ = [
     "MAX_SHARDS",
     "MERGEABLE_KINDS",
-    "ClusterClient",
     "ClusterCoordinator",
     "ClusterSpecFile",
     "ShardProcess",
@@ -63,5 +63,6 @@ __all__ = [
     "rebalance_cluster",
     "shard_directory",
     "stop_fleet",
+    "unshardable_reason",
     "write_cluster_spec",
 ]

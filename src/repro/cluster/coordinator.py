@@ -26,17 +26,18 @@ exact answers:
 
 ``window`` tables are not routable: jumping-window rotation depends on
 each shard's local arrival count, which is not linear across shards.
-The coordinator refuses them at ``create_table`` time.
+:func:`unshardable_reason` says so; the coordinator refuses them at
+``create_table`` time, and ``repro cluster serve`` and ``repro traffic
+--cluster`` before any shard is reached.
 
-:class:`ClusterClient` is the synchronous facade (private event loop on
-a daemon thread), mirroring :class:`~repro.service.client.ServiceClient`
-method-for-method so the CLI query path works against either.
+A script drives a fleet with ``asyncio.run`` over a coroutine that
+awaits :meth:`ClusterCoordinator.connect`, as ``repro query --cluster``
+does.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from typing import TYPE_CHECKING, Any
 
@@ -60,7 +61,7 @@ if TYPE_CHECKING:
 
     from repro.service.server import SketchServer
 
-__all__ = ["ClusterClient", "ClusterCoordinator"]
+__all__ = ["ClusterCoordinator", "unshardable_reason"]
 
 
 class _ClusterMetrics:
@@ -82,6 +83,15 @@ class _ClusterMetrics:
         self.queries = registry.counter("cluster_queries_total")
         self.scatter_seconds = registry.histogram("cluster_scatter_seconds")
         self.shards = registry.gauge("cluster_shards")
+
+
+def unshardable_reason(kind: str) -> str | None:
+    """Why a fleet cannot shard tables of ``kind``, or None when it can."""
+    if kind != "window":
+        return None
+    return ("window tables cannot be sharded: jumping-window rotation "
+            "counts local arrivals, which is not linear across shards; "
+            "serve them from a single `repro serve` process")
 
 
 def _medians(rows: np.ndarray) -> list[float]:
@@ -192,12 +202,9 @@ class ClusterCoordinator:
         it anew.  ``window`` tables are refused: their rotation depends
         on shard-local arrival counts and is not linear across shards.
         """
-        if spec.kind == "window":
-            raise ValueError(
-                "window tables cannot be sharded: jumping-window rotation "
-                "counts local arrivals, which is not linear across shards; "
-                "serve them from a single repro.service process"
-            )
+        problem = unshardable_reason(spec.kind)
+        if problem is not None:
+            raise ValueError(problem)
         created = await self._gather(
             client.create_table(spec) for client in self._clients)
         self._table_specs[spec.name] = spec
@@ -462,141 +469,3 @@ class ClusterCoordinator:
         """Close every shard connection (the servers keep running)."""
         await asyncio.gather(*[
             client.close() for client in self._clients])
-
-
-class ClusterClient:
-    """Synchronous facade over :class:`ClusterCoordinator`.
-
-    Mirrors :class:`~repro.service.client.ServiceClient`: a private
-    event loop on a daemon thread, every method blocking up to
-    ``timeout`` seconds.  Usable as a context manager.
-
-    Args:
-        endpoints: ``(host, port)`` per shard, in routing order.
-        timeout: per-call deadline in seconds.
-    """
-
-    def __init__(
-        self,
-        endpoints: Sequence[tuple[str, int]],
-        *,
-        timeout: float = 30.0,
-    ) -> None:
-        self._timeout = timeout
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever,
-            name="repro-cluster-client",
-            daemon=True,
-        )
-        self._thread.start()
-        try:
-            self._coordinator = self._run(
-                ClusterCoordinator.connect(list(endpoints)))
-        except BaseException:
-            self._stop_loop()
-            raise
-
-    def _run(self, coro: Any) -> Any:
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(self._timeout)
-
-    def _stop_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
-        if not self._loop.is_running():
-            self._loop.close()
-
-    @property
-    def n_shards(self) -> int:
-        """The fleet size."""
-        return self._coordinator.n_shards
-
-    def ping(self) -> list[dict[str, Any]]:
-        """Liveness of every shard, in routing order."""
-        return list(self._run(self._coordinator.ping()))
-
-    def create_table(self, spec: TableSpec) -> bool:
-        """Create a table on every shard."""
-        return bool(self._run(self._coordinator.create_table(spec)))
-
-    def drop_table(self, table: str) -> int:
-        """Drop a table everywhere; returns total records it held."""
-        return int(self._run(self._coordinator.drop_table(table)))
-
-    def ingest(
-        self,
-        table: str,
-        records: Iterable[tuple[Hashable, int]],
-        *,
-        wait: bool = False,
-    ) -> int:
-        """Route one batch of ``(item, count)`` records to its shards."""
-        return int(self._run(self._coordinator.ingest(
-            table, list(records), wait=wait)))
-
-    def ingest_items(
-        self, table: str, items: Iterable[Hashable], *, wait: bool = False
-    ) -> int:
-        """Sugar: route plain items, each with count 1."""
-        return int(self._run(self._coordinator.ingest_items(
-            table, list(items), wait=wait)))
-
-    def estimate(self, table: str, items: Sequence[Hashable]) -> list[float]:
-        """Cluster-exact frequency estimates (see the async docstring)."""
-        return list(self._run(self._coordinator.estimate(table,
-                                                         list(items))))
-
-    def estimate_rows(
-        self, table: str, items: Sequence[Hashable]
-    ) -> list[list[int]]:
-        """Summed per-row readouts across shards (merged-sketch ints)."""
-        return list(self._run(self._coordinator.estimate_rows(
-            table, list(items))))
-
-    def topk(self, table: str,
-             k: int | None = None) -> list[tuple[Hashable, float]]:
-        """Global top-k via candidate union and exact re-scoring."""
-        return list(self._run(self._coordinator.topk(table, k)))
-
-    def maxchange(
-        self,
-        before: str,
-        after: str,
-        *,
-        k: int = 10,
-        items: Iterable[Hashable] | None = None,
-    ) -> list[ArchiveDiffEntry]:
-        """Largest frequency changes between two tables."""
-        return list(self._run(self._coordinator.maxchange(
-            before, after, k=k,
-            items=None if items is None else list(items))))
-
-    def stats(self, table: str | None = None) -> dict[str, Any]:
-        """Cluster stats: fleet size plus per-shard payloads."""
-        return dict(self._run(self._coordinator.stats(table)))
-
-    def metrics(self, fmt: str = "prometheus") -> list[str]:
-        """Every shard's metrics export body, in routing order."""
-        return list(self._run(self._coordinator.metrics(fmt)))
-
-    def checkpoint(self, table: str | None = None) -> int:
-        """Snapshot every shard now; returns total bytes written."""
-        return int(self._run(self._coordinator.checkpoint(table)))
-
-    def shutdown(self) -> None:
-        """Ask every shard to stop gracefully."""
-        self._run(self._coordinator.shutdown())
-
-    def close(self) -> None:
-        """Close every shard connection and stop the private loop."""
-        try:
-            self._run(self._coordinator.close())
-        finally:
-            self._stop_loop()
-
-    def __enter__(self) -> ClusterClient:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -2,8 +2,8 @@
 
 A cluster deployment is N independent ``repro serve`` processes plus a
 *cluster spec* — a small JSON file recording the shard endpoints in
-routing order, which is all a :class:`~repro.cluster.coordinator.
-ClusterClient` needs to attach.  This module owns that file, the
+routing order, which is all :meth:`~repro.cluster.coordinator.
+ClusterCoordinator.connect` needs to attach.  This module owns that file, the
 subprocess supervisor behind ``repro cluster serve``, and the offline
 snapshot-re-merge behind ``repro cluster rebalance``.
 
@@ -104,7 +104,7 @@ def write_cluster_spec(
     endpoints: Sequence[tuple[str, int]],
     specs: Sequence[TableSpec],
 ) -> None:
-    """Atomically write the cluster spec JSON for ``ClusterClient``s."""
+    """Atomically write the cluster spec JSON a coordinator attaches by."""
     payload = {
         "version": _SPEC_VERSION,
         "n_shards": len(endpoints),

@@ -14,9 +14,10 @@ Three layers:
   op, with stream keys encoded/decoded transparently and error
   responses raised as :class:`ServiceError` (or the sharper
   :class:`OverloadedError` for backpressure).
-* :class:`ServiceClient` — a synchronous facade for scripts and the
-  CLI: it runs a private event loop on a daemon thread and proxies
-  each call with a timeout.
+* :class:`ServiceClient` — a synchronous facade for scripts: it runs a
+  private event loop on a daemon thread and proxies each call with a
+  timeout.  The CLI runs :class:`AsyncServiceClient` under
+  ``asyncio.run`` instead.
 
 Ingest always travels as ``binary-ingest-v1`` frames — raw pre-encoded
 64-bit keys for tables that never store original items, lossless packed

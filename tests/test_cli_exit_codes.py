@@ -11,14 +11,23 @@ here they contribute their usage and connection failures.
 
 from __future__ import annotations
 
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cache import FrequencySketch
 from repro.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from repro.cluster import write_cluster_spec
 from repro.core.countsketch import CountSketch
 from repro.core.topk import TopKTracker
 from repro.store import save
 from repro.streams.io import write_stream_text
+
+REPO_ROOT = Path(__file__).parent.parent
 
 ITEMS = ["apple"] * 12 + ["banana"] * 7 + ["cherry"] * 3
 
@@ -104,6 +113,34 @@ NON_INTEGER_ITEMS = [
                         "--int-keys", "1", "abc"]),
     ("cache-stats", ["cache", "stats", "--sketch", "{snap_cache}",
                      "--int-keys", "abc"]),
+]
+
+#: Flag values argparse accepts but no command can use: one usage line
+#: each, found before any file is read or server reached.
+BAD_VALUES = [
+    ("query-topk-k-zero",
+     ["query", "topk", "--port", "1", "--table", "t", "--k", "0"],
+     "--k must be at least 1"),
+    ("query-topk-cluster-k-zero",
+     ["query", "topk", "--cluster", "{missing}", "--table", "t", "--k", "0"],
+     "--k must be at least 1"),
+    ("traffic-cluster-window-kind",
+     ["traffic", "--cluster", "{missing}", "--table-kind", "window"],
+     "--table-kind window: window tables cannot be sharded: jumping-window "
+     "rotation counts local arrivals, which is not linear across shards; "
+     "serve them from a single `repro serve` process"),
+    ("serve-port-out-of-range",
+     ["serve", "--table", "q", "--port", "65536"],
+     "--port must be between 0 and 65535"),
+    ("query-port-out-of-range", ["query", "ping", "--port", "-1"],
+     "--port must be between 0 and 65535"),
+    ("traffic-port-out-of-range", ["traffic", "--port", "70000"],
+     "--port must be between 0 and 65535"),
+    ("query-timeout-zero", ["query", "ping", "--port", "1", "--timeout", "0"],
+     "--timeout must be positive"),
+    ("query-timeout-negative",
+     ["query", "ping", "--port", "1", "--timeout", "-2.5"],
+     "--timeout must be positive"),
 ]
 
 USAGE = [
@@ -193,6 +230,7 @@ USAGE = [
     pytest.param(["topk", "--input", "{stream}", "--k", "0"], id="topk-k-zero"),
     *[pytest.param(argv, id=f"{name}-non-integer-item")
       for name, argv in NON_INTEGER_ITEMS],
+    *[pytest.param(argv, id=name) for name, argv, _ in BAD_VALUES],
 ]
 
 DATA = [
@@ -272,6 +310,8 @@ class TestExitCodes:
           for name, argv in NON_INTEGER_ITEMS],
         pytest.param(["topk", "--input", "{stream}", "--k", "0"],
                      "error: --k must be at least 1\n", id="topk-k-zero"),
+        *[pytest.param(argv, f"error: {message}\n", id=name)
+          for name, argv, message in BAD_VALUES],
     ])
     def test_bad_values_are_one_usage_line(self, paths, capsys, argv,
                                            message):
@@ -299,6 +339,68 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert captured.err.strip().count("\n") == 0
         assert "cannot connect" in captured.err
+
+
+@pytest.fixture()
+def silent_listener():
+    """A port whose kernel completes every connect and nobody answers."""
+    with socket.create_server(("127.0.0.1", 0), backlog=8) as listener:
+        yield listener.getsockname()[1]
+
+
+@pytest.fixture()
+def full_backlog():
+    """A port whose accept queue is full, so a connect hangs: Linux drops
+    the SYNs a full queue cannot take."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("needs Linux's drop of SYNs past a full accept queue")
+    with socket.create_server(("127.0.0.1", 0), backlog=0) as listener:
+        fillers = [socket.socket() for _ in range(4)]
+        try:
+            for filler in fillers:
+                filler.setblocking(False)
+                filler.connect_ex(listener.getsockname())
+            yield listener.getsockname()[1]
+        finally:
+            for filler in fillers:
+                filler.close()
+
+
+class TestTimeouts:
+    """``--timeout`` bounds the connect and every request, against one
+    server and against a fleet, with one ``error:`` line and exit 2."""
+
+    @staticmethod
+    def run_cli(*argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv], cwd=REPO_ROOT,
+            env=env, capture_output=True, text=True, timeout=60)
+
+    def expect_timeout(self, target, tmp_path, cluster):
+        if cluster:
+            spec = tmp_path / "cluster.json"
+            write_cluster_spec(spec, [("127.0.0.1", target)] * 2, [])
+            flags, shown = ["--cluster", str(spec)], f"cluster {spec}"
+        else:
+            flags, shown = ["--port", str(target)], f"127.0.0.1:{target}"
+        done = self.run_cli("query", "ping", *flags, "--timeout", "0.5")
+        assert done.returncode == EXIT_DATA
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"error: request to {shown} timed out after 0.5s\n")
+
+    @pytest.mark.parametrize("cluster", [False, True],
+                             ids=["server", "cluster"])
+    def test_request_timeout(self, silent_listener, tmp_path, cluster):
+        self.expect_timeout(silent_listener, tmp_path, cluster)
+
+    @pytest.mark.parametrize("cluster", [False, True],
+                             ids=["server", "cluster"])
+    def test_connect_timeout(self, full_backlog, tmp_path, cluster):
+        self.expect_timeout(full_backlog, tmp_path, cluster)
 
 
 class TestLintExitCodes:
