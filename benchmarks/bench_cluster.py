@@ -1,9 +1,16 @@
-"""BENCH — cluster ingest scaling and scatter-gather exactness.
+"""BENCH — cluster ingest scaling, query latency and scatter-gather exactness.
 
 Launches real ``repro serve`` shard processes (the same supervisor
 ``repro cluster serve`` uses), routes a seeded Zipf(1.0) stream through
 :class:`~repro.cluster.coordinator.ClusterCoordinator` over the binary
 wire, and measures ingest throughput at 1/2/… shards.
+
+The query cell loads the same stream into a ``topk`` table on a 2-shard
+fleet and times, one call at a time, ``estimate`` of 64 keys drawn from
+the stream and ``topk(10)``: p50 and p99 over real TCP, every call a
+scatter of binary readout frames and a gather summed in int64.  Its
+probe requires the served estimates and top-k scores to be bit-equal
+to one offline sketch fed the same stream.
 
 Every fleet size ends with the probe the cluster exists for: served
 estimates must be **bit-equal** to one offline sketch fed the same
@@ -34,6 +41,7 @@ import argparse
 import asyncio
 import json
 import os
+import random
 import sys
 import time
 from pathlib import Path
@@ -57,6 +65,16 @@ SPEC = TableSpec("bench", kind="sketch", depth=DEPTH, width=WIDTH,
                  seed=SEED)
 
 SCALING_BOUND = 1.6
+
+#: The query cell's table: ``topk`` so that both queries run on it.
+QUERY_SPEC = TableSpec("queries", kind="topk", depth=DEPTH, width=WIDTH,
+                       seed=SEED, k=10)
+QUERY_SHARDS = 2
+QUERY_KEYS = 64
+#: Calls per query kind in a full run: p99 rests on at least 10 samples
+#: beyond it.
+ESTIMATE_CALLS = 3000
+TOPK_CALLS = 1000
 
 
 def _make_stream(n: int) -> list:
@@ -130,8 +148,69 @@ def bench_shards(n_shards: int, stream: list, batch: int,
     return best
 
 
+def _percentile(ordered: list[float], q: float) -> float:
+    return ordered[min(len(ordered) - 1, round(q * (len(ordered) - 1)))]
+
+
+def _latency(samples: list[float]) -> dict:
+    ordered = sorted(samples)
+    return {"calls": len(ordered),
+            "p50_ms": round(_percentile(ordered, 0.50), 3),
+            "p99_ms": round(_percentile(ordered, 0.99), 3)}
+
+
+async def _run_queries(endpoints: list[tuple[str, int]], stream: list,
+                       batch: int, estimates: int, topks: int) -> dict:
+    """Load the stream into the fleet, then time ``estimate`` of
+    :data:`QUERY_KEYS` keys and ``topk(10)`` one call at a time."""
+    cluster = await ClusterCoordinator.connect(endpoints)
+    for start in range(0, len(stream), batch):
+        await cluster.ingest_items(QUERY_SPEC.name,
+                                   stream[start:start + batch],
+                                   wait=start + batch >= len(stream))
+    rng = random.Random(11)
+    queries = [rng.choices(stream, k=QUERY_KEYS) for _ in range(64)]
+    latency: dict[str, list[float]] = {"estimate": [], "topk": []}
+    for index in range(estimates):
+        start = time.perf_counter()
+        await cluster.estimate(QUERY_SPEC.name, queries[index % 64])
+        latency["estimate"].append((time.perf_counter() - start) * 1e3)
+    for _ in range(topks):
+        start = time.perf_counter()
+        await cluster.topk(QUERY_SPEC.name, QUERY_SPEC.k)
+        latency["topk"].append((time.perf_counter() - start) * 1e3)
+
+    sketch = QUERY_SPEC.build().sketch
+    sketch.extend(stream)
+    for keys in queries:
+        assert await cluster.estimate(QUERY_SPEC.name, keys) == [
+            sketch.estimate(key) for key in keys], \
+            "cluster estimates must be bit-equal to offline"
+    top = await cluster.topk(QUERY_SPEC.name, QUERY_SPEC.k)
+    assert len(top) == QUERY_SPEC.k and all(
+        score == sketch.estimate(item) for item, score in top), \
+        "cluster top-k scores must be bit-equal to offline"
+    await cluster.close()
+    return {name: _latency(samples) for name, samples in latency.items()}
+
+
+def bench_queries(stream: list, batch: int, estimates: int,
+                  topks: int) -> dict:
+    """The query cell on a fresh :data:`QUERY_SHARDS`-shard fleet."""
+    shards = launch_fleet(QUERY_SHARDS, [QUERY_SPEC])
+    try:
+        endpoints = [(s.host, s.port) for s in shards]
+        cell = asyncio.run(_run_queries(endpoints, stream, batch,
+                                        estimates, topks))
+    finally:
+        stop_fleet(shards, timeout=15.0)
+    return {"n_shards": QUERY_SHARDS, "keys_per_estimate": QUERY_KEYS,
+            "k": QUERY_SPEC.k, **cell, "exact": True}
+
+
 def run(n: int, fleet_sizes: list[int], batch: int,
-        repeats: int) -> dict:
+        repeats: int, estimates: int = ESTIMATE_CALLS,
+        topks: int = TOPK_CALLS) -> dict:
     """Measure every fleet size; return the BENCH record."""
     stream = _make_stream(n)
     rows = []
@@ -154,6 +233,7 @@ def run(n: int, fleet_sizes: list[int], batch: int,
         "cpus": os.cpu_count(),
         "spec": SPEC.to_dict(),
         "scaling": rows,
+        "queries": bench_queries(stream, batch, estimates, topks),
     }
 
 
@@ -195,6 +275,14 @@ def format_report(record: dict) -> str:
             "  {n_shards:<9} {items_per_s:>13,} {speedup_vs_1:>9.2f}x "
             "{exact!s:>7}".format(**row)
         )
+    cell = record["queries"]
+    lines.append(
+        "  queries on {n_shards} shards (exact: {exact}):".format(**cell))
+    for name, label in (("estimate", f"estimate({cell['keys_per_estimate']})"),
+                        ("topk", f"topk({cell['k']})")):
+        lines.append(
+            "    {label:<13} p50 {p50_ms:7.3f} ms  p99 {p99_ms:7.3f} ms  "
+            "({calls} calls)".format(label=label, **cell[name]))
     return "\n".join(lines)
 
 
@@ -210,7 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats, best kept (default 3)")
     parser.add_argument("--smoke", action="store_true",
-                        help="quick mode: small n, 1+2 shards, one repeat")
+                        help="quick mode: small n, 1+2 shards, one "
+                             "repeat, a tenth of the query calls")
     parser.add_argument("--gate", action="store_true",
                         help="fail (exit 1) unless 2-shard ingest reaches "
                              f"{SCALING_BOUND}x the 1-shard rate "
@@ -224,8 +313,10 @@ def main(argv: list[str] | None = None) -> int:
     n = min(args.n, 6_000) if args.smoke else args.n
     fleet_sizes = [1, 2] if args.smoke else args.shards
     repeats = 1 if args.smoke else args.repeats
+    estimates, topks = ((300, 100) if args.smoke
+                        else (ESTIMATE_CALLS, TOPK_CALLS))
 
-    record = run(n, fleet_sizes, args.batch, repeats)
+    record = run(n, fleet_sizes, args.batch, repeats, estimates, topks)
     print(format_report(record))
 
     # A smoke run must not overwrite the committed full-size figures.

@@ -290,10 +290,25 @@ def _check_flag_values(args: argparse.Namespace) -> str | None:
         return "--timeout must be positive"
     if getattr(args, "shards", 1) < 1:
         return "--shards must be at least 1"
-    # maxchange, percent-change and store diff report nothing at --k 0.
     k = getattr(args, "k", None)
     if args.command in ("topk", "query") and k is not None and k < 1:
         return "--k must be at least 1"
+    # maxchange, percent-change and store diff report nothing at --k 0.
+    if k is not None and k < 0:
+        return "--k cannot be negative"
+    verb = getattr(args, "query_command", None)
+    if verb == "ingest" and args.batch_size < 1:
+        return "--batch-size must be at least 1"
+    if verb == "ingest" and args.skip < 0:
+        return "--skip cannot be negative"
+    if verb == "create":
+        from repro.cluster import unshardable_reason
+
+        try:
+            spec = _parse_table_flag(args.table)
+        except ValueError as error:
+            return str(error)
+        return unshardable_reason(spec.kind) if args.cluster else None
     return None
 
 
@@ -847,23 +862,16 @@ async def _query_ping(client: _Client, args: argparse.Namespace) -> int:
 
 
 async def _query_create(client: _Client, args: argparse.Namespace) -> int:
-    try:
-        spec = _parse_table_flag(args.table)
-        created = await asyncio.wait_for(client.create_table(spec),
-                                         args.timeout)
-    except ValueError as error:
-        # A malformed --table, or a window table aimed at a cluster.
-        return _usage_fail(str(error))
+    # A malformed --table, or a window table aimed at a cluster, was
+    # refused before the connect.
+    spec = _parse_table_flag(args.table)
+    created = await asyncio.wait_for(client.create_table(spec), args.timeout)
     verb = "created" if created else "already exists (same spec)"
     print(f"table {spec.name!r}: {verb}")
     return EXIT_OK
 
 
 async def _query_ingest(client: _Client, args: argparse.Namespace) -> int:
-    if args.batch_size < 1:
-        return _usage_fail("--batch-size must be at least 1")
-    if args.skip < 0:
-        return _usage_fail("--skip cannot be negative")
     source = itertools.islice(_load(args.input, args.int_keys), args.skip,
                               None)
     total = 0

@@ -8,11 +8,13 @@ routing *and* sketching); queries scatter to every shard and gather
 exact answers:
 
 * ``estimate`` — each shard returns its per-row signed counter readouts
-  (the ``estimate_rows`` op) for keys the coordinator encodes once per
-  scatter.  By §3.2 linearity those integers sum, row by row, to the
-  readouts of the merged sketch, so the coordinator adds them in int64
-  and takes the float64 median :meth:`CountSketch.estimate_batch` takes
-  — **bit-equal** to querying one offline sketch fed every record.  The
+  (a binary ``estimate_rows`` frame pair) for the ``encode_key`` images
+  the coordinator encodes once per scatter: every shard gets the same
+  key block and answers with one ``(depth, n)`` int64 block.  By §3.2
+  linearity those integers sum, row by row, to the readouts of the
+  merged sketch, so the coordinator adds them in int64 and takes the
+  float64 median :meth:`CountSketch.estimate_batch` takes —
+  **bit-equal** to querying one offline sketch fed every record.  The
   int64 sums wrap mod 2**64 exactly as the merged sketch's counters do,
   and addition mod 2**64 commutes, so neither the partition nor the
   gather order can perturb the answer, past int64 included.
@@ -50,9 +52,9 @@ from repro.service.client import (
     ServiceError,
     ingest_columns,
     item_column,
+    key_images,
     unzip_records,
 )
-from repro.service.protocol import encode_wire_key
 from repro.service.tables import TableSpec
 from repro.store.archive import ArchiveDiffEntry
 
@@ -95,17 +97,17 @@ def unshardable_reason(kind: str) -> str | None:
 
 
 def _medians(rows: np.ndarray) -> list[float]:
-    """Finalize summed ``(n, depth)`` row readouts with the paper's
+    """Finalize summed ``(depth, n)`` row readouts with the paper's
     median: the float64 ``np.median`` over each key's rows that
     :meth:`CountSketch.estimate_batch` takes, so every estimate is
     bit-equal to the merged sketch's."""
-    medians: list[float] = np.median(rows.T.astype(np.float64),
+    medians: list[float] = np.median(rows.astype(np.float64),
                                      axis=0).tolist()
     return medians
 
 
 def _summed(per_shard: Sequence[np.ndarray]) -> np.ndarray:
-    """The shards' ``(n, depth)`` readouts summed in int64: each cell
+    """The shards' ``(depth, n)`` readouts summed in int64: each cell
     wraps mod 2**64 as the merged sketch's counter does."""
     try:
         return np.stack(per_shard).sum(axis=0, dtype=np.int64)
@@ -295,10 +297,10 @@ class ClusterCoordinator:
 
     # -- queries ------------------------------------------------------------
 
-    async def _rows(self, table: str, keys: Sequence[object]) -> np.ndarray:
-        """Scatter ``estimate_rows`` of wire-encoded ``keys`` (encoded
-        once, sent to every shard) and sum the shards' readouts in int64
-        into one ``(n, depth)`` array."""
+    async def _rows(self, table: str, keys: np.ndarray) -> np.ndarray:
+        """Scatter ``estimate_rows`` of the key images ``keys`` (encoded
+        once, the same block sent to every shard) and sum the shards'
+        readouts in int64 into one ``(depth, n)`` array."""
         return _summed(await self._gather(
             client.estimate_rows_array(table, keys)
             for client in self._clients
@@ -313,7 +315,7 @@ class ClusterCoordinator:
         each item (§3.2: shard readouts sum, in int64 as its counters
         do), before any median."""
         rows: list[list[int]] = (await self._rows(
-            table, [encode_wire_key(item) for item in items])).tolist()
+            table, key_images(items))).T.tolist()
         return rows
 
     async def estimate(
@@ -327,8 +329,8 @@ class ClusterCoordinator:
         from shard-local heap priorities, which are not meaningful
         across shards.
         """
-        keys = [encode_wire_key(item) for item in items]
-        if not keys:
+        keys = key_images(items)
+        if not keys.size:
             return []
         return _medians(await self._rows(table, keys))
 
@@ -357,8 +359,7 @@ class ClusterCoordinator:
         candidates = list(union)
         if not candidates:
             return []
-        scores = _medians(await self._rows(
-            table, [encode_wire_key(item) for item in candidates]))
+        scores = _medians(await self._rows(table, key_images(candidates)))
         ranked = sorted(
             zip(candidates, scores, strict=True),
             key=lambda pair: (-pair[1], repr(pair[0])),
@@ -412,7 +413,7 @@ class ClusterCoordinator:
             candidates = list(seen)
         if not candidates:
             return []
-        keys = [encode_wire_key(item) for item in candidates]
+        keys = key_images(candidates)
         rows_before, rows_after = await self._gather([
             self._rows(before, keys),
             self._rows(after, keys),

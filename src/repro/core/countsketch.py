@@ -78,6 +78,10 @@ def _median(rows: list[float]) -> float:
     return (rows[middle - 1] + rows[middle]) / 2
 
 
+#: ``-(-2**63)``: the one negated counter value outside int64.
+_I64_NEGATED_MIN = 1 << 63
+
+
 def _wrapped(value: int) -> int:
     """``value`` reduced into int64 mod ``2**64``, as NumPy's int64
     addition wraps a counter that leaves the range."""
@@ -669,11 +673,16 @@ class CountSketch:
         for distributed scatter-gather: by §3.2 linearity the readouts of
         sharded sketches *sum* to the readouts of their merge, so a
         coordinator can add per-shard row values and take one median,
-        bit-equal to querying the merged sketch.
+        bit-equal to querying the merged sketch.  Each value wraps as
+        int64 does, as in :meth:`row_values_batch`: a counter at
+        ``-2**63`` under a ``-1`` sign reads ``-2**63``.
         """
         cells = self._cells
-        return [cells[cell] if cell >= 0 else -cells[~cell]
-                for cell in self._signed_cells(item)]
+        values = [cells[cell] if cell >= 0 else -cells[~cell]
+                  for cell in self._signed_cells(item)]
+        if _I64_NEGATED_MIN in values:  # only -(-2**63) leaves int64
+            return [_wrapped(value) for value in values]
+        return values
 
     def row_values_batch(
         self, items: Iterable[Hashable] | np.ndarray

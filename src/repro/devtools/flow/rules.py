@@ -704,6 +704,7 @@ _HANDLER_NAMES = frozenset(
         "dispatch_binary",
         "_dispatch_op",
         "_binary_ingest",
+        "_binary_rows",
         "_answer",
         "_require_table",
     }

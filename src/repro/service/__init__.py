@@ -5,8 +5,9 @@ flows — are live streams queried *while* ingestion continues.  This
 package is that shape: a long-running asyncio server owning named
 "tables" (dense / vectorized / top-k / jumping-window summaries),
 absorbing batched binary ingest frames over a length-prefixed
-protocol, and answering ``estimate`` / ``topk`` / ``stats`` concurrently with exact
-read-your-acknowledged-writes semantics.
+protocol, and answering ``estimate`` / ``estimate_rows`` / ``topk`` /
+``stats`` concurrently with exact read-your-acknowledged-writes
+semantics.
 
 Entry points:
 
@@ -39,10 +40,13 @@ from repro.service.limits import (
 )
 from repro.service.protocol import (
     FEATURE_BINARY_INGEST,
+    FEATURE_BINARY_ROWS,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     BinaryIngest,
     FrameTooLargeError,
+    RowsAnswer,
+    RowsRequest,
     WireProtocolError,
     decode_wire_key,
     encode_wire_key,
@@ -50,6 +54,8 @@ from repro.service.protocol import (
     pack_binary_ingest,
     pack_frame,
     pack_key,
+    pack_rows_answer,
+    pack_rows_request,
     read_frame,
     unpack_frame,
     unpack_key,
@@ -65,6 +71,7 @@ from repro.service.tables import (
 
 __all__ = [
     "FEATURE_BINARY_INGEST",
+    "FEATURE_BINARY_ROWS",
     "MANIFEST_NAME",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
@@ -75,6 +82,8 @@ __all__ = [
     "InProcessTransport",
     "OverloadedError",
     "QuotaExceededError",
+    "RowsAnswer",
+    "RowsRequest",
     "ServiceClient",
     "ServiceConnectionError",
     "ServiceError",
@@ -94,6 +103,8 @@ __all__ = [
     "pack_binary_ingest",
     "pack_frame",
     "pack_key",
+    "pack_rows_answer",
+    "pack_rows_request",
     "read_frame",
     "unpack_frame",
     "unpack_key",

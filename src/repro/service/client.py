@@ -22,7 +22,9 @@ Three layers:
 Ingest always travels as ``binary-ingest-v1`` frames — raw pre-encoded
 64-bit keys for tables that never store original items, lossless packed
 keys for ``topk`` tables (an all-int64 batch as one int64 column, packed
-in one array pass).  Everything else travels as JSON.
+in one array pass).  ``estimate_rows`` travels as ``binary-rows-v1``
+frames: raw key images out, one int64 readout block back.  Everything
+else travels as JSON.
 
 Batches that would exceed ``MAX_FRAME_BYTES`` are split into several
 frames automatically.  Ack semantics per frame are unchanged — but a
@@ -48,15 +50,17 @@ from repro.core.countsketch import integral_weights
 from repro.hashing.vectorized import encode_keys
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
+    RowsAnswer,
     WireProtocolError,
     binary_ingest_capacity,
-    encode_wire_key,
     decode_wire_key,
+    encode_wire_key,
     error_response,
     normalize_key,
     pack_binary_ingest,
     pack_frame,
     pack_key,
+    pack_rows_request,
     read_frame,
     unpack_frame,
 )
@@ -122,7 +126,16 @@ class ServiceConnectionError(ServiceError):
         super().__init__("connection", message)
 
 
-def _raise_for_error(response: dict[str, Any]) -> dict[str, Any]:
+#: What a transport hands back: a JSON response or a readout answer.
+_Response = dict[str, Any] | RowsAnswer
+
+
+def _raise_for_error(response: _Response) -> dict[str, Any]:
+    """A JSON ``ok`` response as it is; an error response raised as its
+    :class:`ServiceError`."""
+    if isinstance(response, RowsAnswer):
+        raise ServiceError("internal",
+                           "a readout answer frame answered a JSON request")
     if response.get("ok"):
         return response
     error = response.get("error")
@@ -140,18 +153,17 @@ def _raise_for_error(response: dict[str, Any]) -> dict[str, Any]:
     raise ServiceError(code, message, details)
 
 
-def _checked_response(
-    response: dict[str, Any] | Any | None,
-) -> dict[str, Any]:
-    """Validate that the transport handed back one JSON response."""
+def _checked_response(response: object) -> _Response:
+    """Validate that the transport handed back one response: a JSON
+    message or a readout answer, never a request frame."""
     if response is None:
         raise ServiceConnectionError(
             "server closed the connection before responding",
         )
-    if not isinstance(response, dict):
+    if not isinstance(response, (dict, RowsAnswer)):
         raise ServiceError(
             "internal",
-            f"unexpected non-JSON frame from server: {type(response).__name__}",
+            f"unexpected request frame from server: {type(response).__name__}",
         )
     return response
 
@@ -184,7 +196,7 @@ class TcpTransport:
                 f"connection lost while sending: {error}"
             ) from error
 
-    async def _receive(self) -> dict[str, Any]:
+    async def _receive(self) -> _Response:
         try:
             response = await read_frame(self._reader)
         except WireProtocolError as error:
@@ -199,11 +211,11 @@ class TcpTransport:
             ) from error
         return _checked_response(response)
 
-    async def request(self, message: dict[str, Any]) -> dict[str, Any]:
+    async def request(self, message: dict[str, Any]) -> _Response:
         """Send one framed request and await its framed response."""
         return await self.request_bytes(pack_frame(message))
 
-    async def request_bytes(self, frame: bytes) -> dict[str, Any]:
+    async def request_bytes(self, frame: bytes) -> _Response:
         """Send one pre-packed frame and await its response."""
         async with self._lock:
             await self._send(frame)
@@ -211,7 +223,7 @@ class TcpTransport:
 
     async def request_stream(
         self, frames: Sequence[bytes], *, window: int = _DEFAULT_WINDOW
-    ) -> list[dict[str, Any]]:
+    ) -> list[_Response]:
         """Send ``frames`` pipelined; responses in request order.
 
         Up to ``window`` frames are in flight at once: a sender task
@@ -224,7 +236,7 @@ class TcpTransport:
             raise ValueError("window must be at least 1")
         if len(frames) == 1:
             return [await self.request_bytes(frames[0])]
-        responses: list[dict[str, Any]] = []
+        responses: list[_Response] = []
         async with self._lock:
             in_flight = asyncio.Semaphore(window)
 
@@ -268,56 +280,44 @@ class InProcessTransport:
     def __init__(self, server: SketchServer) -> None:
         self._server = server
 
-    async def request(self, message: dict[str, Any]) -> dict[str, Any]:
+    async def request(self, message: dict[str, Any]) -> _Response:
         """Dispatch against the server after a codec round-trip."""
         return await self.request_bytes(pack_frame(message))
 
-    async def request_bytes(self, frame: bytes) -> dict[str, Any]:
-        """Unpack, dispatch (JSON or binary), round-trip the response."""
+    async def request_bytes(self, frame: bytes) -> _Response:
+        """Unpack, dispatch (JSON or binary), round-trip the response
+        (a readout answer comes back packed already)."""
         wire_message = unpack_frame(frame)
         if isinstance(wire_message, dict):
-            response = await self._server.dispatch(wire_message)
+            response: dict[str, Any] | bytes = await self._server.dispatch(
+                wire_message)
         else:
             response = await self._server.dispatch_binary(wire_message)
-        try:
-            packed = pack_frame(response)
-        except WireProtocolError as error:
-            # Mirror the TCP writer task: an unserializable response is
-            # substituted with a bad_request error carrying the same id.
-            packed = pack_frame(error_response(
-                response.get("id"), "bad_request",
-                f"response is not representable in canonical JSON: {error}",
-            ))
+        if isinstance(response, bytes):
+            packed = response
+        else:
+            try:
+                packed = pack_frame(response)
+            except WireProtocolError as error:
+                # Mirror the TCP writer task: an unserializable response
+                # is substituted with a bad_request error carrying the
+                # same id.
+                packed = pack_frame(error_response(
+                    response.get("id"), "bad_request",
+                    "response is not representable in canonical JSON: "
+                    f"{error}",
+                ))
         return _checked_response(unpack_frame(packed))
 
     async def request_stream(
         self, frames: Sequence[bytes], *, window: int = _DEFAULT_WINDOW
-    ) -> list[dict[str, Any]]:
+    ) -> list[_Response]:
         """Sequential in-process equivalent of pipelined send."""
         return [await self.request_bytes(frame) for frame in frames]
 
     async def close(self) -> None:
         """Nothing to release; the server is owned by the caller."""
         return None
-
-
-def _rows_array(rows: object, n: int) -> np.ndarray:
-    """One ``estimate_rows`` answer for ``n`` keys as an ``(n, depth)``
-    int64 array, its shape and integer type checked."""
-    if n == 0 and rows == []:
-        return np.zeros((0, 0), dtype=np.int64)
-    try:
-        array = np.array(rows)
-    except ValueError:  # ragged rows
-        array = None
-    if (array is None or array.dtype != np.int64 or array.ndim != 2
-            or len(array) != n):
-        raise ServiceError(
-            "internal",
-            f"malformed estimate_rows answer for {n} keys: expected one "
-            f"list of int64 row readouts per key, got {rows!r:.200}",
-        )
-    return array
 
 
 def unzip_records(
@@ -345,6 +345,25 @@ def item_column(items: list[Hashable] | np.ndarray) -> np.ndarray | list[Hashabl
         except OverflowError:
             pass
     return items
+
+
+def key_images(items: Iterable[Hashable] | np.ndarray) -> np.ndarray:
+    """The ``encode_key`` images of ``items`` as one uint64 array (a
+    uint64 array passes as it is), encoded as the sketches hash them.
+
+    NumPy scalars ``encode_key`` does not take are collapsed first by
+    :func:`~repro.service.protocol.normalize_key`, which hashes them as
+    their Python twins.
+
+    Raises:
+        WireProtocolError: for a key type no sketch can hash, named.
+    """
+    if not isinstance(items, np.ndarray):
+        items = list(items)
+    try:
+        return encode_keys(items)
+    except TypeError:
+        return encode_keys([normalize_key(item) for item in items])
 
 
 def ingest_columns(
@@ -381,12 +400,7 @@ def ingest_columns(
         raw = not spec.packed_keys
     if not raw:
         return item_column(items), weights
-    try:
-        return encode_keys(items), weights
-    except TypeError:
-        for item in items:  # normalize_key names the unusable key type
-            normalize_key(item)
-        raise
+    return key_images(items), weights
 
 
 class AsyncServiceClient:
@@ -612,28 +626,45 @@ class AsyncServiceClient:
         so a coordinator can add them across shards and take one median,
         bit-equal to a single merged sketch.  Linear-sketch tables only
         (``sketch``, ``vectorized``, ``topk``).
+
+        Raises:
+            WireProtocolError: for a key type no sketch can hash, before
+                anything is sent.
         """
-        rows = await self.estimate_rows_array(
-            table, [encode_wire_key(item) for item in items])
-        values: list[list[int]] = rows.tolist()
+        rows = await self.estimate_rows_array(table, key_images(items))
+        values: list[list[int]] = rows.T.tolist()
         return values
 
     async def estimate_rows_array(
-        self, table: str, keys: Sequence[object]
+        self, table: str, keys: np.ndarray
     ) -> np.ndarray:
-        """:meth:`estimate_rows` of ``keys`` already encoded with
-        :func:`~repro.service.protocol.encode_wire_key`, as one
-        ``(len(keys), depth)`` int64 array, so a coordinator encodes a
-        scatter's keys once and sums the shards' answers in int64.
+        """The readouts of ``keys``, a uint64 array of ``encode_key``
+        images (see :func:`key_images`), as the ``(depth, len(keys))``
+        int64 array ``CountSketch.row_values_batch`` returns: a
+        coordinator encodes a scatter's keys once, sends every shard the
+        same block, and sums the shards' answers in int64.
 
         Raises:
-            ServiceError: ``internal`` for an answer that is not one
-                int64 row per key: ragged rows, a float (which ``int``
-                would truncate), a string, or a value outside int64.
+            ServiceError: ``internal`` for an answer that is not a
+                readout block of this request: another request id,
+                another key count, or a JSON ``ok`` answer without one.
+            WireProtocolError: for a malformed readout answer frame.
         """
-        response = await self._call("estimate_rows", table=table,
-                                    keys=list(keys))
-        return _rows_array(response.get("rows"), len(keys))
+        request_id = next(self._ids)
+        answer = await self._transport.request_bytes(
+            pack_rows_request(table, request_id, keys))
+        if isinstance(answer, dict):
+            _raise_for_error(answer)
+            raise ServiceError(
+                "internal", "estimate_rows was answered with a JSON ok "
+                            "response instead of a readout block")
+        if answer.request_id != request_id or answer.rows.shape[1] != keys.size:
+            raise ServiceError(
+                "internal",
+                f"readout answer for request {answer.request_id} with "
+                f"{answer.rows.shape[1]} keys does not answer request "
+                f"{request_id} with {keys.size} keys")
+        return answer.rows
 
     async def topk(
         self, table: str, k: int | None = None

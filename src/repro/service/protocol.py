@@ -9,24 +9,32 @@ Frame layout (both directions)::
 Two payload kinds share the framing, distinguished by the first payload
 byte:
 
-* **Canonical-ASCII-JSON** — every control and query request and every
-  response.  The payload is a single JSON object serialized with
-  ``sort_keys`` / ``ensure_ascii`` / ``allow_nan=False`` (so equal
-  messages are equal bytes and every frame is strict RFC 8259 ASCII;
-  lone surrogates from ``surrogateescape``-decoded text survive as
-  ``\\uDCxx`` escapes).  A canonical JSON object always begins with
-  ``{`` (0x7B).
-* **Binary ingest** — the only way records enter a server.  The payload
-  begins with :data:`BINARY_MAGIC` (0xB1, never a valid JSON start
-  byte) and carries one bulk ingest request: a fixed header, the table
-  name, a key block, and a raw little-endian ``int64`` weight array.
-  See :func:`pack_binary_ingest` for the exact layout.  Responses are
-  always JSON — acks are tiny and uniform, so only the request hot path
-  earns a binary encoding.
+* **Canonical-ASCII-JSON** — every control and query request except
+  ``estimate_rows``, and every response except a readout answer.  The
+  payload is a single JSON object serialized with ``sort_keys`` /
+  ``ensure_ascii`` / ``allow_nan=False`` (so equal messages are equal
+  bytes and every frame is strict RFC 8259 ASCII; lone surrogates from
+  ``surrogateescape``-decoded text survive as ``\\uDCxx`` escapes).  A
+  canonical JSON object always begins with ``{`` (0x7B).
+* **Binary** — the payload begins with :data:`BINARY_MAGIC` (0xB1,
+  never a valid JSON start byte), a layout version and an opcode:
+
+  - :data:`BINARY_OP_INGEST`, the only way records enter a server: a
+    fixed header, the table name, a key block, and a raw little-endian
+    ``int64`` weight array (see :func:`pack_binary_ingest`).  Its ack is
+    a JSON response.
+  - :data:`BINARY_OP_ROWS`, the ``estimate_rows`` request: the same
+    header, the table name, and ``n`` raw ``uint64`` ``encode_key``
+    images (see :func:`pack_rows_request`).
+  - :data:`BINARY_OP_ROWS_ANSWER`, its answer: the request id, ``n``,
+    the sketch depth, and the ``(depth, n)`` int64 block of per-row
+    signed counter readouts ``CountSketch.row_values_batch`` returns
+    (see :func:`pack_rows_answer`).  Errors stay JSON error frames
+    carrying the request id.
 
 Frames larger than :data:`MAX_FRAME_BYTES` are refused on both ends.
-Servers still advertise :data:`FEATURE_BINARY_INGEST` in the ``ping``
-response, so clients that negotiate on it keep choosing binary frames.
+Servers advertise :data:`FEATURE_BINARY_INGEST` and
+:data:`FEATURE_BINARY_ROWS` in the ``ping`` response.
 
 Requests carry ``{"op": ..., ...}``; responses carry ``{"ok": true,
 ...}`` or ``{"ok": false, "error": {"code": ..., "message": ...}}``.
@@ -44,15 +52,17 @@ key encoding cannot hash (datetime64, complex, lists, ...) with a
 protocol boundary instead of leaking store internals from deep inside
 ``encode_item``.
 
-Binary keys travel in one of two layouts; each table kind accepts one
-and the server refuses the other:
+Binary ingest keys travel in one of two layouts; each table kind
+accepts one and the server refuses the other:
 
 * **raw** (``sketch``, ``vectorized`` and ``window`` tables) — each key
   is its 64-bit ``encode_key`` image, shipped as a raw little-endian
   ``uint64`` array and fed straight into the vectorized sketch paths
   with no per-record decode.  Lossy by design (the original object
   never crosses the wire), which is exactly right for summaries that
-  store no stream objects.
+  store no stream objects.  Readout requests always carry raw images:
+  a readout only hashes its key, so they are exact on ``topk`` tables
+  too.
 * **packed** (``topk`` tables) — each key is a self-delimiting tagged
   binary encoding (:func:`pack_key` / :func:`unpack_key`) that
   round-trips the original object exactly, including surrogate-escaped
@@ -84,15 +94,21 @@ if TYPE_CHECKING:
 __all__ = [
     "BINARY_MAGIC",
     "BINARY_OP_INGEST",
+    "BINARY_OP_ROWS",
+    "BINARY_OP_ROWS_ANSWER",
     "BINARY_VERSION",
     "ERROR_CODES",
     "FEATURE_BINARY_INGEST",
+    "FEATURE_BINARY_ROWS",
     "FEATURES",
     "MAX_FRAME_BYTES",
     "OPS",
     "PROTOCOL_VERSION",
     "BinaryIngest",
+    "Frame",
     "FrameTooLargeError",
+    "RowsAnswer",
+    "RowsRequest",
     "WireProtocolError",
     "binary_ingest_capacity",
     "decode_wire_key",
@@ -103,13 +119,15 @@ __all__ = [
     "pack_binary_ingest",
     "pack_frame",
     "pack_key",
+    "pack_rows_answer",
+    "pack_rows_request",
     "read_frame",
     "unpack_frame",
     "unpack_key",
     "write_frame",
 ]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame's payload, in bytes.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
@@ -121,15 +139,25 @@ BINARY_MAGIC = 0xB1
 #: Version of the binary frame layout (bumped only on layout breaks).
 BINARY_VERSION = 1
 
-#: Binary opcode: bulk ingest (the only binary request so far).
+#: Binary opcode: bulk ingest.
 BINARY_OP_INGEST = 1
+
+#: Binary opcode: an ``estimate_rows`` request (raw key images).
+BINARY_OP_ROWS = 2
+
+#: Binary opcode: the answer to :data:`BINARY_OP_ROWS` (an int64 block).
+BINARY_OP_ROWS_ANSWER = 3
 
 #: Feature tag servers advertise in the ``ping`` response: they accept
 #: binary ingest frames (the only ingest encoding).
 FEATURE_BINARY_INGEST = "binary-ingest-v1"
 
+#: Feature tag: ``estimate_rows`` travels as binary readout frames (the
+#: only encoding of that op).
+FEATURE_BINARY_ROWS = "binary-rows-v1"
+
 #: Every feature the current server build advertises.
-FEATURES = frozenset({FEATURE_BINARY_INGEST})
+FEATURES = frozenset({FEATURE_BINARY_INGEST, FEATURE_BINARY_ROWS})
 
 _LENGTH = struct.Struct(">I")
 
@@ -139,7 +167,6 @@ OPS = frozenset({
     "create_table",
     "drop_table",
     "estimate",
-    "estimate_rows",
     "metrics",
     "ping",
     "shutdown",
@@ -260,7 +287,7 @@ def pack_frame(message: dict[str, Any]) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-def unpack_frame(data: bytes) -> dict[str, Any] | BinaryIngest:
+def unpack_frame(data: bytes) -> Frame:
     """Parse exactly one frame from ``data`` (header + full payload)."""
     if len(data) < _LENGTH.size:
         raise WireProtocolError("truncated frame header")
@@ -283,9 +310,9 @@ def _reject_nonfinite(token: str) -> float:
     raise ValueError(f"non-RFC JSON token {token!r} is not canonical")
 
 
-def _parse_body(body: bytes) -> dict[str, Any] | BinaryIngest:
+def _parse_body(body: bytes) -> Frame:
     if body[:1] == bytes((BINARY_MAGIC,)):
-        return _unpack_binary_ingest(body)
+        return _unpack_binary(body)
     try:
         message = json.loads(
             body.decode("utf-8"), parse_constant=_reject_nonfinite
@@ -297,9 +324,7 @@ def _parse_body(body: bytes) -> dict[str, Any] | BinaryIngest:
     return message
 
 
-async def read_frame(
-    reader: asyncio.StreamReader,
-) -> dict[str, Any] | BinaryIngest | None:
+async def read_frame(reader: asyncio.StreamReader) -> Frame | None:
     """Read one frame; ``None`` on a clean EOF between frames.
 
     Raises:
@@ -326,10 +351,12 @@ async def read_frame(
 
 
 async def write_frame(
-    writer: asyncio.StreamWriter, message: dict[str, Any]
+    writer: asyncio.StreamWriter, message: dict[str, Any] | bytes
 ) -> None:
-    """Write one frame and drain the transport."""
-    writer.write(pack_frame(message))
+    """Write one frame and drain the transport: a message is packed as
+    JSON, ``bytes`` are a frame packed already (a readout answer)."""
+    writer.write(message if isinstance(message, bytes)
+                 else pack_frame(message))
     await writer.drain()
 
 
@@ -376,6 +403,7 @@ _U32 = struct.Struct("<I")
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
+_U64_MASK = (1 << 64) - 1
 
 #: One packed int64 key as ``pack_key`` writes it: the tag, then the
 #: value (9 bytes, unaligned).
@@ -547,6 +575,31 @@ class BinaryIngest:
         return int(self.weights.size)
 
 
+@dataclass(frozen=True)
+class RowsRequest:
+    """One parsed binary ``estimate_rows`` request: the readouts of
+    ``keys``, raw ``uint64`` ``encode_key`` images (a zero-copy view
+    into the frame buffer), on table ``table``."""
+
+    table: str
+    request_id: int
+    keys: np.ndarray
+
+
+@dataclass(frozen=True)
+class RowsAnswer:
+    """One parsed binary readout answer: ``rows`` is the ``(depth, n)``
+    int64 block ``CountSketch.row_values_batch`` returns for the
+    request's ``n`` keys (a zero-copy view into the frame buffer)."""
+
+    request_id: int
+    rows: np.ndarray
+
+
+#: Any parsed frame: a JSON message or one of the binary frames.
+Frame = dict[str, Any] | BinaryIngest | RowsRequest | RowsAnswer
+
+
 def binary_ingest_capacity(table: str) -> int:
     """Most records one raw-mode binary frame can carry for ``table``.
 
@@ -586,9 +639,7 @@ def pack_binary_ingest(
             :data:`MAX_FRAME_BYTES`; split the batch and retry.
         WireProtocolError: on inconsistent array shapes or dtypes.
     """
-    table_bytes = table.encode("utf-8")
-    if len(table_bytes) > 0xFFFF:
-        raise WireProtocolError("table name too long for a binary frame")
+    table_bytes = _table_name(table)
     weights_arr = np.ascontiguousarray(weights, dtype="<i8")
     flags = (_FLAG_WAIT if wait else 0) | (_FLAG_RAW_KEYS if raw else 0)
     if raw:
@@ -623,10 +674,10 @@ def pack_binary_ingest(
         key_prefix = _U32.pack(len(key_block))
     if n > 0xFFFFFFFF:
         raise FrameTooLargeError("too many records for one binary frame")
-    body = b"".join((
+    return _framed((
         _BIN_HEAD.pack(
             BINARY_MAGIC, BINARY_VERSION, BINARY_OP_INGEST, flags,
-            request_id & ((1 << 64) - 1), len(table_bytes),
+            request_id & _U64_MASK, len(table_bytes),
         ),
         table_bytes,
         _U32.pack(n),
@@ -634,6 +685,24 @@ def pack_binary_ingest(
         key_block,
         weights_arr.tobytes(),
     ))
+
+
+def _table_name(table: str) -> bytes:
+    """A binary request's table name field."""
+    table_bytes = table.encode("utf-8")
+    if len(table_bytes) > 0xFFFF:
+        raise WireProtocolError("table name too long for a binary frame")
+    return table_bytes
+
+
+def _framed(parts: Sequence[bytes]) -> bytes:
+    """One binary frame: the length prefix, then ``parts`` joined.
+
+    Raises:
+        FrameTooLargeError: when the payload exceeds
+            :data:`MAX_FRAME_BYTES`.
+    """
+    body = b"".join(parts)
     if len(body) > MAX_FRAME_BYTES:
         raise FrameTooLargeError(
             f"binary frame of {len(body)} bytes exceeds the "
@@ -673,20 +742,31 @@ def _unpack_key_block(block: bytes, n: int) -> list[Hashable]:
     return items
 
 
-def _unpack_binary_ingest(body: bytes) -> BinaryIngest:
-    """Parse one binary ingest payload (first byte already matched)."""
-    if len(body) < _BIN_HEAD.size:
+def _unpack_binary(body: bytes) -> BinaryIngest | RowsRequest | RowsAnswer:
+    """Parse one binary payload (first byte already matched) by opcode."""
+    if len(body) < 4:
         raise WireProtocolError("truncated binary frame header")
-    magic, version, opcode, flags, request_id, table_len = (
-        _BIN_HEAD.unpack_from(body, 0)
-    )
+    version, opcode = body[1], body[2]
     if version != BINARY_VERSION:
         raise WireProtocolError(
             f"unsupported binary frame version {version} "
             f"(this build speaks {BINARY_VERSION})"
         )
-    if opcode != BINARY_OP_INGEST:
-        raise WireProtocolError(f"unknown binary opcode {opcode}")
+    if opcode == BINARY_OP_INGEST:
+        return _unpack_binary_ingest(body)
+    if opcode == BINARY_OP_ROWS:
+        return _unpack_rows_request(body)
+    if opcode == BINARY_OP_ROWS_ANSWER:
+        return _unpack_rows_answer(body)
+    raise WireProtocolError(f"unknown binary opcode {opcode}")
+
+
+def _request_head(body: bytes) -> tuple[int, int, str, int, int]:
+    """A binary request's flags, request id, table name and key count,
+    and the offset just past them."""
+    if len(body) < _BIN_HEAD.size:
+        raise WireProtocolError("truncated binary frame header")
+    _, _, _, flags, request_id, table_len = _BIN_HEAD.unpack_from(body, 0)
     offset = _BIN_HEAD.size
     _need(body, offset, table_len)
     try:
@@ -698,7 +778,12 @@ def _unpack_binary_ingest(body: bytes) -> BinaryIngest:
     offset += table_len
     _need(body, offset, _U32.size)
     (n,) = _U32.unpack_from(body, offset)
-    offset += _U32.size
+    return flags, int(request_id), table, n, offset + _U32.size
+
+
+def _unpack_binary_ingest(body: bytes) -> BinaryIngest:
+    """Parse one binary ingest payload."""
+    flags, request_id, table, n, offset = _request_head(body)
     raw = bool(flags & _FLAG_RAW_KEYS)
     keys: np.ndarray | None = None
     items: list[Hashable] | None = None
@@ -722,10 +807,96 @@ def _unpack_binary_ingest(body: bytes) -> BinaryIngest:
         )
     return BinaryIngest(
         table=table,
-        request_id=int(request_id),
+        request_id=request_id,
         wait=bool(flags & _FLAG_WAIT),
         raw=raw,
         keys=keys,
         items=items,
         weights=weights,
     )
+
+
+# -- binary readout frames ----------------------------------------------------
+
+#: Fixed readout answer header: magic, version, opcode, flags, request id
+#: (u64), key count n (u32), sketch depth (u32).  The ``(depth, n)``
+#: int64 block follows, row by row.
+_ROWS_HEAD = struct.Struct("<BBBBQII")
+
+
+def pack_rows_request(table: str, request_id: int, keys: np.ndarray) -> bytes:
+    """Serialize one binary ``estimate_rows`` request.
+
+    Args:
+        table: the table to read.
+        request_id: echoed in the answer; must fit in u64.
+        keys: a ``uint64`` array of ``encode_key`` images.  A coordinator
+            encodes a scatter's keys once and sends every shard the same
+            block.
+
+    Raises:
+        FrameTooLargeError: when the frame exceeds :data:`MAX_FRAME_BYTES`.
+        WireProtocolError: when ``keys`` is not a 1-D ``uint64`` array.
+    """
+    if (not isinstance(keys, np.ndarray) or keys.dtype != np.uint64
+            or keys.ndim != 1):
+        raise WireProtocolError(
+            "readout keys must be a one-dimensional uint64 ndarray")
+    table_bytes = _table_name(table)
+    return _framed((
+        _BIN_HEAD.pack(BINARY_MAGIC, BINARY_VERSION, BINARY_OP_ROWS, 0,
+                       request_id & _U64_MASK, len(table_bytes)),
+        table_bytes,
+        _U32.pack(keys.size),
+        keys.astype("<u8", copy=False).tobytes(),
+    ))
+
+
+def _unpack_rows_request(body: bytes) -> RowsRequest:
+    """Parse one binary ``estimate_rows`` request payload."""
+    _, request_id, table, n, offset = _request_head(body)
+    if len(body) - offset != 8 * n:
+        raise WireProtocolError(
+            f"readout request of {n} keys needs {8 * n} key bytes, "
+            f"carries {len(body) - offset}")
+    keys = np.frombuffer(body, dtype="<u8", count=n, offset=offset)
+    return RowsRequest(table=table, request_id=request_id, keys=keys)
+
+
+def pack_rows_answer(request_id: int, rows: np.ndarray) -> bytes:
+    """Serialize one binary readout answer: ``rows`` is the ``(depth,
+    n)`` int64 array ``CountSketch.row_values_batch`` returns, written
+    as it is.
+
+    Raises:
+        FrameTooLargeError: when the frame exceeds :data:`MAX_FRAME_BYTES`
+            (the server then answers ``bad_request``: split the query).
+        WireProtocolError: when ``rows`` is not a 2-D int64 array of at
+            least one row.
+    """
+    if rows.dtype != np.int64 or rows.ndim != 2 or not rows.shape[0]:
+        raise WireProtocolError(
+            "readouts must be a (depth, n) int64 array with depth >= 1")
+    depth, n = rows.shape
+    return _framed((
+        _ROWS_HEAD.pack(BINARY_MAGIC, BINARY_VERSION, BINARY_OP_ROWS_ANSWER,
+                        0, request_id & _U64_MASK, n, depth),
+        rows.astype("<i8", copy=False).tobytes(),
+    ))
+
+
+def _unpack_rows_answer(body: bytes) -> RowsAnswer:
+    """Parse one binary readout answer payload."""
+    if len(body) < _ROWS_HEAD.size:
+        raise WireProtocolError("truncated readout answer header")
+    _, _, _, _, request_id, n, depth = _ROWS_HEAD.unpack_from(body, 0)
+    if not depth:
+        raise WireProtocolError("readout answer declares depth 0")
+    block = len(body) - _ROWS_HEAD.size
+    if block != 8 * n * depth:
+        raise WireProtocolError(
+            f"readout answer of {n} keys x {depth} rows needs "
+            f"{8 * n * depth} bytes, carries {block}")
+    rows = np.frombuffer(body, dtype="<i8", count=n * depth,
+                         offset=_ROWS_HEAD.size).reshape(depth, n)
+    return RowsAnswer(request_id=int(request_id), rows=rows)

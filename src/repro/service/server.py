@@ -38,11 +38,14 @@ from repro.service.protocol import (
     OPS,
     PROTOCOL_VERSION,
     BinaryIngest,
+    RowsAnswer,
+    RowsRequest,
     WireProtocolError,
     decode_wire_key,
     encode_wire_key,
     error_response,
     ok_response,
+    pack_rows_answer,
     read_frame,
     write_frame,
 )
@@ -58,7 +61,7 @@ from repro.store.checkpoint import CheckpointManager, CheckpointMismatchError
 from repro.store.format import SNAPSHOT_SUFFIX, StoreError, atomic_write_bytes
 
 if TYPE_CHECKING:
-    from collections.abc import Awaitable, Callable, Hashable, Iterable
+    from collections.abc import Awaitable, Callable, Iterable
 
 __all__ = ["MANIFEST_NAME", "SketchServer"]
 
@@ -431,8 +434,8 @@ class SketchServer:
         self._writers.add(writer)
         self._metrics.connections_total.inc()
         self._metrics.connections_open.inc()
-        responses: asyncio.Queue[dict[str, Any] | None] = asyncio.Queue(
-            maxsize=_RESPONSE_QUEUE_SIZE)
+        responses: asyncio.Queue[dict[str, Any] | bytes | None] = (
+            asyncio.Queue(maxsize=_RESPONSE_QUEUE_SIZE))
         writer_task = asyncio.get_running_loop().create_task(
             self._write_responses(responses, writer))
         try:
@@ -445,7 +448,7 @@ class SketchServer:
                     break
                 if message is None:
                     break
-                if isinstance(message, BinaryIngest):
+                if not isinstance(message, dict):
                     await responses.put(await self.dispatch_binary(message))
                     continue
                 await responses.put(await self.dispatch(message))
@@ -521,18 +524,19 @@ class SketchServer:
 
     async def _write_responses(
         self,
-        responses: asyncio.Queue[dict[str, Any] | None],
+        responses: asyncio.Queue[dict[str, Any] | bytes | None],
         writer: asyncio.StreamWriter,
     ) -> None:
         """Drain the response queue to the socket until the sentinel.
 
-        Keeps consuming after a write failure (discarding responses) so
-        the read loop's bounded ``put`` can never deadlock against a
-        dead peer.  A response the canonical codec cannot serialize —
-        e.g. a ``topk`` listing a non-finite float key that arrived via
-        the lossless binary path — is replaced by a ``bad_request``
-        error carrying the same request id, never by a protocol
-        violation on the wire.
+        A response is a JSON message or a readout answer frame packed
+        already.  Keeps consuming after a write failure (discarding
+        responses) so the read loop's bounded ``put`` can never deadlock
+        against a dead peer.  A JSON response the canonical codec cannot
+        serialize — e.g. a ``topk`` listing a non-finite float key that
+        arrived via the lossless binary path — is replaced by a
+        ``bad_request`` error carrying the same request id, never by a
+        protocol violation on the wire.
         """
         alive = True
         while True:
@@ -544,6 +548,7 @@ class SketchServer:
             try:
                 await write_frame(writer, response)
             except WireProtocolError as error:
+                assert isinstance(response, dict)  # a packed frame is sent as is
                 self._metrics.errors.inc()
                 fallback = error_response(
                     response.get("id"), "bad_request",
@@ -574,16 +579,30 @@ class SketchServer:
         return await self._answer(
             request_id, lambda: self._dispatch_op(op, message))
 
-    async def dispatch_binary(self, frame: BinaryIngest) -> dict[str, Any]:
-        """Answer one binary ingest frame (responses are always JSON)."""
-        return await self._answer(
-            frame.request_id, lambda: self._binary_ingest(frame))
+    async def dispatch_binary(
+        self, frame: BinaryIngest | RowsRequest | RowsAnswer
+    ) -> dict[str, Any] | bytes:
+        """Answer one binary frame: an ingest frame with a JSON ack, a
+        readout request with a packed readout answer frame.  A readout
+        answer is no request: it gets ``bad_frame``, and the connection
+        keeps being served (its framing is intact)."""
+        if isinstance(frame, BinaryIngest):
+            return await self._answer(
+                frame.request_id, lambda: self._binary_ingest(frame))
+        if isinstance(frame, RowsRequest):
+            return await self._answer(
+                frame.request_id, lambda: self._binary_rows(frame))
+        self._metrics.requests.inc()
+        self._metrics.errors.inc()
+        return error_response(
+            frame.request_id, "bad_frame",
+            "a readout answer frame is not a request")
 
     async def _answer(
         self,
         request_id: object,
-        runner: Callable[[], Awaitable[dict[str, Any]]],
-    ) -> dict[str, Any]:
+        runner: Callable[[], Awaitable[dict[str, Any] | bytes]],
+    ) -> dict[str, Any] | bytes:
         """Run one op under the shared fault barrier and error mapping."""
         self._ensure_appliers()
         self._metrics.requests.inc()
@@ -618,7 +637,7 @@ class SketchServer:
         finally:
             self._metrics.request_seconds.observe(
                 time.perf_counter() - start)
-        if not response.get("ok"):
+        if isinstance(response, dict) and not response.get("ok"):
             self._metrics.errors.inc()
         return response
 
@@ -640,8 +659,6 @@ class SketchServer:
             return await self._op_drop_table(message)
         if op == "estimate":
             return await self._op_estimate(message)
-        if op == "estimate_rows":
-            return await self._op_estimate_rows(message)
         if op == "topk":
             return await self._op_topk(message)
         if op == "stats":
@@ -760,11 +777,7 @@ class SketchServer:
         return ok_response(request_id, queued=len(frame), seq=seq,
                            applied=frame.wait)
 
-    async def _read_keys(
-        self, message: dict[str, Any]
-    ) -> tuple[ServiceTable, list[Hashable]]:
-        """A keyed query's table and decoded keys, once it has paid its
-        query quota and passed the table's read barrier."""
+    async def _op_estimate(self, message: dict[str, Any]) -> dict[str, Any]:
         table = self._require_table(message)
         keys = message.get("keys")
         if not isinstance(keys, list):
@@ -772,10 +785,6 @@ class SketchServer:
         items = [decode_wire_key(key) for key in keys]
         table.charge_query()
         await table.wait_applied()
-        return table, items
-
-    async def _op_estimate(self, message: dict[str, Any]) -> dict[str, Any]:
-        table, items = await self._read_keys(message)
         summary = table.summary
         estimates: list[float]
         if isinstance(summary, CountSketch):
@@ -785,10 +794,21 @@ class SketchServer:
             estimates = [float(summary.estimate(item)) for item in items]
         return ok_response(message.get("id"), estimates=estimates)
 
-    async def _op_estimate_rows(
-        self, message: dict[str, Any]
-    ) -> dict[str, Any]:
-        table, items = await self._read_keys(message)
+    async def _binary_rows(self, frame: RowsRequest) -> bytes:
+        """Answer one ``estimate_rows`` request with a readout answer
+        frame: the ``(depth, n)`` int64 block of ``row_values_batch``
+        over its raw key images.
+
+        A readout only hashes its key, so raw ``encode_key`` images are
+        exact on every linear table kind, ``topk`` included.  The query
+        pays its quota and waits at the read barrier, as ``estimate``
+        does.
+        """
+        table = self._tables.get(frame.table)
+        if table is None:
+            raise _NoSuchTable(frame.table)
+        table.charge_query()
+        await table.wait_applied()
         summary = table.summary
         sketch = summary.sketch if isinstance(summary, TopKTracker) else summary
         if not isinstance(sketch, CountSketch):
@@ -797,8 +817,8 @@ class SketchServer:
                 "'estimate_rows' requires a linear sketch table "
                 "(sketch, vectorized, or topk)"
             )
-        rows = sketch.row_values_batch(items).T.tolist()
-        return ok_response(message.get("id"), rows=rows)
+        return pack_rows_answer(frame.request_id,
+                                sketch.row_values_batch(frame.keys))
 
     async def _op_topk(self, message: dict[str, Any]) -> dict[str, Any]:
         request_id = message.get("id")

@@ -141,6 +141,38 @@ BAD_VALUES = [
     ("query-timeout-negative",
      ["query", "ping", "--port", "1", "--timeout", "-2.5"],
      "--timeout must be positive"),
+    ("maxchange-k-negative",
+     ["maxchange", "--before", "{stream}", "--after", "{stream}", "--k", "-1"],
+     "--k cannot be negative"),
+    ("percent-change-k-negative",
+     ["percent-change", "--before", "{stream}", "--after", "{stream}",
+      "--k", "-1"],
+     "--k cannot be negative"),
+    ("store-diff-k-negative",
+     ["store", "diff", "{snap_a}", "{snap_b}", "--items", "apple",
+      "--k", "-1"],
+     "--k cannot be negative"),
+    # The query flags below are checked before the connect: port 1 is
+    # closed, and reaching it would exit 2 with the refusal instead.
+    ("query-ingest-batch-size-zero",
+     ["query", "ingest", "--port", "1", "--table", "t", "--input",
+      "{stream}", "--batch-size", "0"],
+     "--batch-size must be at least 1"),
+    ("query-ingest-skip-negative",
+     ["query", "ingest", "--port", "1", "--table", "t", "--input",
+      "{stream}", "--skip", "-1"],
+     "--skip cannot be negative"),
+    ("query-create-malformed-table",
+     ["query", "create", "--port", "1", "--table", "a:b:c:d"],
+     "malformed --table 'a:b:c:d'; use NAME[:KIND[:key=val,...]]"),
+    ("query-create-bad-option",
+     ["query", "create", "--port", "1", "--table", "q:sketch:depth=zero"],
+     "table option 'depth' needs an integer value, got 'zero'"),
+    ("query-create-cluster-window",
+     ["query", "create", "--cluster", "{missing}", "--table", "w:window"],
+     "window tables cannot be sharded: jumping-window rotation counts "
+     "local arrivals, which is not linear across shards; serve them from "
+     "a single `repro serve` process"),
 ]
 
 USAGE = [

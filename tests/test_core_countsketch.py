@@ -231,6 +231,19 @@ class TestBatchEqualsScalar:
         assert batch.total_weight == single.total_weight == sum(weights)
         assert batch == single
 
+    @pytest.mark.parametrize("sketch_type",
+                             [CountSketch, VectorizedCountSketch])
+    def test_row_values_wrap_at_the_int64_minimum(self, sketch_type):
+        # Key 0's one cell reaches -2**63 and is read under a -1 sign:
+        # -(-2**63) wraps to -2**63 in int64, on both readout paths.
+        sketch = sketch_type(1, 1, seed=3)
+        sketch.update(0, 2**63 - 1)
+        sketch.update(0, 1)
+        assert sketch.counters.tolist() == [[-(2**63)]]
+        assert sketch.row_values(0) == sketch.row_values_batch([0])[:, 0].tolist()
+        assert sketch.row_values(0) == [-(2**63)]
+        assert all(type(value) is int for value in sketch.row_values(0))
+
     def test_batches_larger_than_a_slice(self, monkeypatch):
         from repro.core import countsketch as module
 

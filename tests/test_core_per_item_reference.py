@@ -80,8 +80,10 @@ class ReferenceSketch:
         return statistics.median(self.row_estimates(item))
 
     def row_values(self, item):
+        # Signed readouts in int64, as ``row_values_batch`` multiplies
+        # them: -(-2**63) wraps to -2**63.
         buckets, signs = self.positions(item)
-        return [int(self.counters[row, bucket]) * sign
+        return [(int(self.counters[row, bucket]) * sign + 2**63) % 2**64 - 2**63
                 for row, (bucket, sign) in enumerate(zip(buckets, signs, strict=True))]
 
 

@@ -1,10 +1,12 @@
-"""End-to-end binary ingest wire: exactness, key layouts, splitting.
+"""End-to-end binary wire: ingest exactness, key layouts, splitting, and
+the ``estimate_rows`` readout frames.
 
 Binary frames are the only way records enter a server: everything here
 asserts *bit-equality* against an offline summary fed the same
-acknowledged prefix.  The feature flag, the one key layout each table
+acknowledged prefix.  The feature flags, the one key layout each table
 kind accepts, weight overflow and transparent frame splitting are
-covered over both transports.
+covered over both transports, and so are the readout frames' answers
+and refusals.
 """
 
 from __future__ import annotations
@@ -19,14 +21,19 @@ import repro.service.client as client_module
 import repro.service.protocol as protocol_module
 from repro.service.client import (
     AsyncServiceClient,
+    InProcessTransport,
+    QuotaExceededError,
     ServiceError,
+    TcpTransport,
     ingest_columns,
     unzip_records,
 )
+from repro.service.limits import ServiceLimits
 from repro.service.protocol import (
     WireProtocolError,
     pack_binary_ingest,
     pack_key,
+    pack_rows_answer,
     unpack_frame,
 )
 from repro.service.server import SketchServer
@@ -383,6 +390,170 @@ class TestBinaryIngestValidation:
             assert response["error"]["code"] == "bad_request"
             assert "raw 64-bit key images" in response["error"]["message"]
             assert server.tables["t"].enqueued_seq == 0
+            await server.stop()
+
+        run(go())
+
+
+TRANSPORTS = ["in-process", "tcp"]
+
+#: Readout probes of every key type, each hashed as the sketches hash it.
+MIXED_KEYS = ["text", b"\x00\xff", ("flow", 8080), True, np.int64(7), 2**70,
+              -7, 1.5, "\udcff-garbled"]
+
+
+async def open_transport(server, kind):
+    """A transport to ``server``: over a real socket for ``tcp``."""
+    if kind == "tcp":
+        host, port = await server.start()
+        return await TcpTransport.connect(host, port)
+    return InProcessTransport(server)
+
+
+def requests_seen(server):
+    """The server's request and error counts and timed requests."""
+    snapshot = server.registry.snapshot()
+    counters = snapshot["counters"]
+    timed = snapshot["histograms"].get("service_request_seconds")
+    return (counters.get("service_requests_total", 0),
+            counters.get("service_request_errors_total", 0),
+            timed["count"] if timed else 0)
+
+
+class TestBinaryReadouts:
+    """``estimate_rows`` travels as a binary frame pair: raw key images
+    out, one int64 readout block back."""
+
+    def test_ping_advertises_the_readout_wire(self):
+        async def go():
+            server = SketchServer([spec_for("sketch")])
+            info = await AsyncServiceClient.in_process(server).ping()
+            assert info["version"] == 3
+            assert {"binary-ingest-v1", "binary-rows-v1"} <= set(
+                info["features"])
+            await server.stop()
+
+        run(go())
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("kind", ["sketch", "vectorized", "topk"])
+    def test_mixed_key_types_bit_equal_to_row_values(self, kind, transport):
+        async def go():
+            spec = spec_for(kind)
+            server = SketchServer([spec])
+            client = AsyncServiceClient(await open_transport(server,
+                                                             transport))
+            offline = spec.build()
+            sketch = offline.sketch if kind == "topk" else offline
+            records = [(key, index + 1) for index, key in enumerate(MIXED_KEYS)]
+            await client.ingest(spec.name, records, wait=True)
+            for key, count in records:
+                offline.update(key, count)
+            probes = [*MIXED_KEYS, 7, 0, "absent"]
+            rows = await client.estimate_rows(spec.name, probes)
+            assert rows == [sketch.row_values(key) for key in probes]
+            assert all(type(value) is int for row in rows for value in row)
+            # encode_key takes no float32; the wire hashes its float twin.
+            assert await client.estimate_rows(
+                spec.name, [np.float32(0.1)]) == [
+                    sketch.row_values(float(np.float32(0.1)))]
+            assert await client.estimate_rows(spec.name, []) == []
+            await client.close()
+            await server.stop()
+
+        run(go())
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_refusals_keep_the_connection_serving(self, transport):
+        async def go():
+            server = SketchServer([spec_for("sketch"),
+                                   spec_for("window", "w")])
+            client = AsyncServiceClient(await open_transport(server,
+                                                             transport))
+            with pytest.raises(ServiceError) as excinfo:
+                await client.estimate_rows("nope", ["a"])
+            assert excinfo.value.code == "no_such_table"
+            with pytest.raises(ServiceError) as excinfo:
+                await client.estimate_rows("w", ["a"])
+            assert excinfo.value.code == "bad_request"
+            assert "linear sketch table" in excinfo.value.message
+            assert await client.estimate_rows("t", ["a"]) == [[0] * 4]
+            await client.close()
+            await server.stop()
+
+        run(go())
+
+    def test_spent_query_quota_is_quota_exceeded(self):
+        async def go():
+            server = SketchServer(
+                [spec_for("topk")],
+                limits=ServiceLimits(query_rate=0.001, query_burst=1))
+            client = AsyncServiceClient.in_process(server)
+            assert await client.estimate_rows("t", ["a"]) == [[0] * 4]
+            with pytest.raises(QuotaExceededError) as excinfo:
+                await client.estimate_rows("t", ["a"])
+            assert excinfo.value.code == "quota_exceeded"
+            assert excinfo.value.details["op_kind"] == "query"
+            await server.stop()
+
+        run(go())
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_answer_frame_as_a_request_is_bad_frame(self, transport):
+        async def go():
+            server = SketchServer([spec_for("sketch")])
+            wire = await open_transport(server, transport)
+            response = await wire.request_bytes(
+                pack_rows_answer(41, np.zeros((4, 1), dtype=np.int64)))
+            assert response["ok"] is False
+            assert response["id"] == 41
+            assert response["error"]["code"] == "bad_frame"
+            client = AsyncServiceClient(wire)
+            assert (await client.ping())["ok"] is True
+            assert await client.estimate_rows("t", [5]) == [[0] * 4]
+            await client.close()
+            await server.stop()
+
+        run(go())
+
+    def test_answer_past_the_frame_limit_is_bad_request(self, monkeypatch):
+        # 64 keys fit a 1 KiB request frame; their 4 rows of readouts
+        # (2 KiB) do not fit the answer.
+        monkeypatch.setattr(protocol_module, "MAX_FRAME_BYTES", 1024)
+
+        async def go():
+            server = SketchServer([spec_for("sketch")])
+            client = AsyncServiceClient.in_process(server)
+            with pytest.raises(ServiceError) as excinfo:
+                await client.estimate_rows("t", list(range(64)))
+            assert excinfo.value.code == "bad_request"
+            assert "exceeds" in excinfo.value.message
+            assert len(await client.estimate_rows("t", list(range(16)))) == 16
+            await server.stop()
+
+        run(go())
+
+    def test_readouts_are_counted_and_timed_as_requests(self):
+        async def go():
+            server = SketchServer([spec_for("sketch")])
+            client = AsyncServiceClient.in_process(server)
+            await client.estimate_rows("t", ["a", "b"])
+            with pytest.raises(ServiceError):
+                await client.estimate_rows("nope", ["a"])
+            assert requests_seen(server) == (2, 1, 2)
+            await server.stop()
+
+        run(go())
+
+    def test_unusable_key_types_are_refused_before_anything_is_sent(self):
+        async def go():
+            server = SketchServer([spec_for("sketch")])
+            client = AsyncServiceClient.in_process(server)
+            for bad in (np.datetime64(7, "s"), complex(1, 2), None, [1]):
+                with pytest.raises(WireProtocolError,
+                                   match="unsupported key type"):
+                    await client.estimate_rows("t", ["ok", bad])
+            assert requests_seen(server) == (0, 0, 0)
             await server.stop()
 
         run(go())

@@ -1,12 +1,14 @@
 """The packed layout's int64 column: an all-int batch is packed and
 unpacked in one array pass, with the bytes and cut points of the per-key
 ``pack_key`` path; every other batch keeps that path.  And the query
-side: ``estimate_rows`` answers are read as checked int64 arrays.
+side: a binary readout answer is accepted only as the int64 block of
+the request it answers.
 """
 
 from __future__ import annotations
 
 import asyncio
+import struct
 
 import numpy as np
 import pytest
@@ -24,9 +26,15 @@ from repro.service.client import (
     item_column,
 )
 from repro.service.protocol import (
+    BINARY_MAGIC,
+    BINARY_OP_ROWS_ANSWER,
+    BINARY_VERSION,
+    WireProtocolError,
     normalize_key,
     pack_binary_ingest,
+    pack_frame,
     pack_key,
+    pack_rows_answer,
     unpack_frame,
 )
 from repro.service.server import SketchServer
@@ -203,50 +211,81 @@ class TestClusterTopkColumns:
 
 
 class _Answers:
-    """A transport whose every answer carries the given ``rows``."""
+    """A transport answering each readout request with the frame
+    ``answer(request)`` builds, parsed as a client transport parses it."""
 
-    def __init__(self, rows):
-        self.rows = rows
+    def __init__(self, answer):
+        self.answer = answer
 
-    async def request(self, message):
-        return {"ok": True, "id": message["id"], "rows": self.rows}
+    async def request_bytes(self, frame):
+        return unpack_frame(self.answer(unpack_frame(frame)))
 
 
-MALFORMED_ROWS = [
-    pytest.param([[1, 2], [3]], id="ragged"),
-    pytest.param([[1, 2], [3, 1.5]], id="float"),
-    pytest.param([[1, 2], [3, "4"]], id="string"),
-    pytest.param([[1, 2], [3, 2**63]], id="past-int64"),
-    pytest.param([[1, 2]], id="one-row-short"),
-    pytest.param([1, 2], id="flat"),
-    pytest.param(None, id="missing"),
+def _readouts(depth, n):
+    return np.arange(depth * n, dtype=np.int64).reshape(depth, n)
+
+
+def _raw_answer(request_id, n, depth, block):
+    """An answer frame with any header and block, as a faulty shard
+    could write it."""
+    body = struct.pack("<BBBBQII", BINARY_MAGIC, BINARY_VERSION,
+                       BINARY_OP_ROWS_ANSWER, 0, request_id, n,
+                       depth) + block
+    return struct.pack(">I", len(body)) + body
+
+
+MALFORMED_ANSWERS = [
+    pytest.param(lambda r: pack_rows_answer(r.request_id + 1,
+                                            _readouts(2, r.keys.size)),
+                 id="another-request-id"),
+    pytest.param(lambda r: pack_rows_answer(r.request_id,
+                                            _readouts(2, r.keys.size - 1)),
+                 id="one-key-short"),
+    pytest.param(lambda r: _raw_answer(r.request_id, r.keys.size, 0, b""),
+                 id="depth-0"),
+    pytest.param(lambda r: _raw_answer(r.request_id, r.keys.size, 2,
+                                       bytes(8 * (2 * r.keys.size - 1))),
+                 id="short-block"),
+    pytest.param(lambda r: _raw_answer(r.request_id, r.keys.size, 2,
+                                       bytes(8 * (2 * r.keys.size + 1))),
+                 id="padded-block"),
+    pytest.param(lambda r: pack_frame({"ok": True, "id": r.request_id}),
+                 id="json-ok-without-a-block"),
 ]
 
 
 class TestMalformedRows:
-    @pytest.mark.parametrize("rows", MALFORMED_ROWS)
-    def test_client_refuses(self, rows):
-        client = AsyncServiceClient(_Answers(rows))
-        with pytest.raises(ServiceError) as excinfo:
+    @pytest.mark.parametrize("answer", MALFORMED_ANSWERS)
+    def test_client_refuses(self, answer):
+        client = AsyncServiceClient(_Answers(answer))
+        with pytest.raises((ServiceError, WireProtocolError)) as excinfo:
             run(client.estimate_rows("t", ["a", "b"]))
-        assert excinfo.value.code == "internal"
+        if isinstance(excinfo.value, ServiceError):
+            assert excinfo.value.code == "internal"
 
-    @pytest.mark.parametrize("rows", MALFORMED_ROWS)
-    def test_coordinator_refuses(self, rows):
-        cluster = ClusterCoordinator([AsyncServiceClient(_Answers([[1], [2]])),
-                                      AsyncServiceClient(_Answers(rows))])
-        with pytest.raises(ServiceError):
+    @pytest.mark.parametrize("answer", MALFORMED_ANSWERS)
+    def test_coordinator_refuses(self, answer):
+        good = _Answers(lambda r: pack_rows_answer(
+            r.request_id, _readouts(2, r.keys.size)))
+        cluster = ClusterCoordinator([AsyncServiceClient(good),
+                                      AsyncServiceClient(_Answers(answer))])
+        with pytest.raises((ServiceError, WireProtocolError)):
             run(cluster.estimate("t", ["a", "b"]))
 
     def test_shards_of_different_depths_are_refused(self):
         cluster = ClusterCoordinator([
-            AsyncServiceClient(_Answers([[1], [2]])),
-            AsyncServiceClient(_Answers([[1, 2], [3, 4]]))])
-        with pytest.raises(ServiceError, match="different shapes"):
+            AsyncServiceClient(_Answers(lambda r: pack_rows_answer(
+                r.request_id, _readouts(1, r.keys.size)))),
+            AsyncServiceClient(_Answers(lambda r: pack_rows_answer(
+                r.request_id, _readouts(2, r.keys.size))))])
+        with pytest.raises(ServiceError, match="different shapes") as excinfo:
             run(cluster.estimate_rows("t", ["a", "b"]))
+        assert excinfo.value.code == "internal"
 
     def test_well_formed_rows_pass_as_ints(self):
-        client = AsyncServiceClient(_Answers([[1, -2], [2**63 - 1, -(2**63)]]))
+        extremes = np.array([[1, 2**63 - 1], [-2, -(2**63)]], dtype=np.int64)
+        client = AsyncServiceClient(_Answers(
+            lambda r: pack_rows_answer(r.request_id, extremes)))
         rows = run(client.estimate_rows("t", ["a", "b"]))
         assert rows == [[1, -2], [2**63 - 1, -(2**63)]]
         assert all(type(value) is int for row in rows for value in row)

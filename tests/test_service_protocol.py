@@ -23,12 +23,15 @@ from hypothesis import strategies as st
 from repro.hashing.encode import encode_key
 from repro.service.protocol import (
     BINARY_MAGIC,
+    BINARY_OP_ROWS_ANSWER,
     BINARY_VERSION,
     ERROR_CODES,
     MAX_FRAME_BYTES,
     OPS,
     BinaryIngest,
     FrameTooLargeError,
+    RowsAnswer,
+    RowsRequest,
     WireProtocolError,
     binary_ingest_capacity,
     decode_wire_key,
@@ -39,6 +42,8 @@ from repro.service.protocol import (
     pack_binary_ingest,
     pack_frame,
     pack_key,
+    pack_rows_answer,
+    pack_rows_request,
     read_frame,
     unpack_frame,
     unpack_key,
@@ -426,6 +431,97 @@ class TestBinaryIngestFrame:
                 np.ones(capacity + 1, dtype=np.int64),
                 raw=True,
             )
+
+
+def reframed(body: bytes) -> bytes:
+    """``body`` behind a length prefix that matches it."""
+    return struct.pack(">I", len(body)) + body
+
+
+class TestBinaryRowsFrames:
+    """``estimate_rows`` as a binary frame pair: raw key images out, one
+    int64 readout block back."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=32),
+        st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_request_roundtrips(self, keys, request_id):
+        array = np.array(keys, dtype=np.uint64)
+        parsed = unpack_frame(pack_rows_request("requêtes", request_id, array))
+        assert isinstance(parsed, RowsRequest)
+        assert parsed.table == "requêtes"
+        assert parsed.request_id == request_id
+        assert parsed.keys.dtype == np.uint64
+        np.testing.assert_array_equal(parsed.keys, array)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.data(),
+    )
+    def test_answer_roundtrips(self, depth, n, request_id, data):
+        values = data.draw(st.lists(
+            st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            min_size=depth * n, max_size=depth * n))
+        rows = np.array(values, dtype=np.int64).reshape(depth, n)
+        parsed = unpack_frame(pack_rows_answer(request_id, rows))
+        assert isinstance(parsed, RowsAnswer)
+        assert parsed.request_id == request_id
+        assert parsed.rows.dtype == np.int64
+        assert parsed.rows.shape == (depth, n)
+        assert parsed.rows.tolist() == rows.tolist()
+
+    def test_answer_block_is_the_readout_array_as_it_is(self):
+        rows = np.arange(-6, 6, dtype=np.int64).reshape(3, 4)
+        frame = pack_rows_answer(7, rows)
+        assert frame[4] == BINARY_MAGIC
+        assert frame[6] == BINARY_OP_ROWS_ANSWER
+        assert struct.unpack(">I", frame[:4])[0] == len(frame) - 4
+        assert frame[-rows.nbytes:] == rows.astype("<i8").tobytes()
+        assert len(frame) - 4 - rows.nbytes == 20  # the fixed header
+
+    @pytest.mark.parametrize("keys", [
+        np.array([1, 2], dtype=np.int64),
+        [1, 2],
+        np.zeros((2, 2), dtype=np.uint64),
+    ], ids=["int64", "list", "2-d"])
+    def test_request_keys_must_be_a_uint64_vector(self, keys):
+        with pytest.raises(WireProtocolError, match="uint64"):
+            pack_rows_request("t", 1, keys)
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros((2, 3), dtype=np.float64),
+        np.zeros(3, dtype=np.int64),
+        np.zeros((0, 3), dtype=np.int64),
+    ], ids=["float", "1-d", "depth-0"])
+    def test_answer_must_be_int64_rows(self, rows):
+        with pytest.raises(WireProtocolError, match="int64"):
+            pack_rows_answer(1, rows)
+
+    def test_request_past_the_frame_limit_is_refused(self):
+        keys = np.zeros(MAX_FRAME_BYTES // 8 + 1, dtype=np.uint64)
+        with pytest.raises(FrameTooLargeError):
+            pack_rows_request("t", 1, keys)
+
+    def test_depth_zero_answer_rejected(self):
+        body = struct.pack("<BBBBQII", BINARY_MAGIC, BINARY_VERSION,
+                           BINARY_OP_ROWS_ANSWER, 0, 1, 0, 0)
+        with pytest.raises(WireProtocolError, match="depth 0"):
+            unpack_frame(reframed(body))
+
+    @pytest.mark.parametrize("frame", [
+        pack_rows_request("t", 1, np.array([3, 4], dtype=np.uint64)),
+        pack_rows_answer(1, np.ones((2, 3), dtype=np.int64)),
+    ], ids=["request", "answer"])
+    def test_short_and_padded_blocks_rejected(self, frame):
+        body = frame[4:]
+        for wrong in (body[:-8], body + bytes(8), body[:-1]):
+            with pytest.raises(WireProtocolError):
+                unpack_frame(reframed(wrong))
 
 
 class TestNonFiniteJsonRegression:

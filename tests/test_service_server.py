@@ -311,7 +311,7 @@ class TestTableLifecycle:
                                    spec_for("topk", "b")])
             client = AsyncServiceClient.in_process(server)
             info = await client.ping()
-            assert info["version"] == 2
+            assert info["version"] == 3
             assert info["tables"] == 2
             assert info["accepting"] is True
             stats = await client.stats()

@@ -86,7 +86,7 @@ class TestServiceSmoke:
         write_stream_text(stream_file, STREAM)
 
         assert query(port, "ping") == 0
-        assert '"version": 2' in capsys.readouterr().out
+        assert '"version": 3' in capsys.readouterr().out
 
         assert query(port, "create",
                      "--table", "flows:sketch:depth=4,width=64") == 0
